@@ -1,3 +1,7 @@
+// G_k construction.  append_block_neighbors is the one enumeration of
+// the three edge classes: ConflictGraph runs it over every hyperedge
+// against all later blocks, DynamicConflictGraph over the fresh blocks
+// of a mutation against all blocks (core/dynamic_conflict_graph.cpp).
 #include "core/conflict_graph.hpp"
 
 #include <algorithm>
@@ -21,6 +25,77 @@ const ConflictGraphMetrics& cg_metrics() {
   return m;
 }
 }  // namespace
+
+// E_color reading note (erratum level): the set notation "{u,v} ⊆ e"
+// admits u = v, but the proofs of Lemma 2.1 treat u and v as distinct
+// ("assume that there is a further node u ∈ e, u != v ...").  Indeed with
+// u = v the lemma's part (a) is FALSE: if two hyperedges share their
+// unique-color witness vertex v, I_f would contain (e, v, c) and
+// (g, v, c) and an u = v E_color edge would join them.  We therefore
+// require u != v; see ConflictGraphTest.
+// SharedWitnessAcrossEdgesStaysIndependent for the counterexample.
+//
+// Outside its own block, a triple (e, v, c) only has neighbors in blocks
+// g that share a vertex with e, and there the three classes collapse to:
+//   v ∈ g:  (g, u, c) for u ∈ g, u != v    E_color, witness g
+//           (g, v, d) for d != c           E_vertex
+//   v ∉ g:  (g, u, c) for u ∈ e ∩ g        E_color, witness e
+// These sets are disjoint, so no candidate is emitted twice.
+void append_block_neighbors(const Hypergraph& h, std::size_t k,
+                            std::span<const std::size_t> pair_offset,
+                            EdgeId e, EdgeId first_partner,
+                            std::vector<std::uint64_t>& out) {
+  const auto tid = [k](std::size_t pair, std::size_t c) {
+    return static_cast<VertexId>(pair * k + c);  // c is 0-based here
+  };
+  const auto emit = [&out](VertexId a, VertexId b) {
+    out.push_back(pack_edge(a, b));
+  };
+
+  // E_edge: the triples of one hyperedge form a clique.
+  const std::size_t first = pair_offset[e] * k;
+  const std::size_t last = pair_offset[e + 1] * k;
+  for (std::size_t a = first; a < last; ++a)
+    for (std::size_t b = a + 1; b < last; ++b)
+      emit(static_cast<VertexId>(a), static_cast<VertexId>(b));
+
+  const auto ve = h.edge(e);
+  std::vector<EdgeId> partners;
+  for (const VertexId v : ve)
+    for (const EdgeId g : h.edges_of(v))
+      if (g != e && g >= first_partner) partners.push_back(g);
+  std::sort(partners.begin(), partners.end());
+  partners.erase(std::unique(partners.begin(), partners.end()),
+                 partners.end());
+
+  constexpr std::size_t kAbsent = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> pos_in_g(ve.size());  // e's i-th vertex in g
+  std::vector<std::size_t> shared;               // positions of e ∩ g in g
+  for (const EdgeId g : partners) {
+    const auto vg = h.edge(g);
+    shared.clear();
+    for (std::size_t i = 0, j = 0; i < ve.size(); ++i) {
+      while (j < vg.size() && vg[j] < ve[i]) ++j;
+      pos_in_g[i] = j < vg.size() && vg[j] == ve[i] ? j : kAbsent;
+      if (pos_in_g[i] != kAbsent) shared.push_back(j);
+    }
+    const std::size_t pg = pair_offset[g];
+    for (std::size_t i = 0; i < ve.size(); ++i) {
+      const std::size_t jv = pos_in_g[i];
+      for (std::size_t c = 0; c < k; ++c) {
+        const VertexId a = tid(pair_offset[e] + i, c);
+        if (jv == kAbsent) {
+          for (const std::size_t j : shared) emit(a, tid(pg + j, c));
+          continue;
+        }
+        for (std::size_t j = 0; j < vg.size(); ++j)
+          if (j != jv) emit(a, tid(pg + j, c));
+        for (std::size_t d = 0; d < k; ++d)
+          if (d != c) emit(a, tid(pg + jv, d));
+      }
+    }
+  }
+}
 
 ConflictGraph::ConflictGraph(Hypergraph h, std::size_t k,
                              runtime::Scheduler& sched)
@@ -48,96 +123,16 @@ ConflictGraph::ConflictGraph(Hypergraph h, std::size_t k,
   const std::size_t n_triples = pair_count * k_;
   PSL_EXPECTS_MSG(n_triples < (std::uint64_t{1} << 32),
                   "conflict graph too large for 32-bit triple ids");
-  auto tid = [this](std::size_t pair, std::size_t c) {
-    return static_cast<VertexId>(pair * k_ + (c - 1));
-  };
 
-  // The three candidate-pair enumerations below fan out on `sched`; each
-  // chunk appends pack_edge-encoded pairs to a private sink
-  // (runtime/parallel.hpp).  The classes only differ in their outer loop
-  // domain; the final edge SET is what determines the graph, so any
-  // execution order yields the same G_k.
-  std::vector<std::uint64_t> packed;
-
-  // E_edge: the triples of one hyperedge form a clique.
-  {
-    auto out = runtime::parallel_collect<std::uint64_t>(
-        sched, {m, 0},
-        [&](std::size_t lo, std::size_t hi, std::vector<std::uint64_t>& sink) {
-          for (EdgeId e = lo; e < hi; ++e) {
-            const std::size_t first = edge_pair_offset_[e] * k_;
-            const std::size_t last = edge_pair_offset_[e + 1] * k_;
-            for (std::size_t a = first; a < last; ++a)
-              for (std::size_t b = a + 1; b < last; ++b)
-                sink.push_back(pack_edge(static_cast<VertexId>(a),
-                                         static_cast<VertexId>(b)));
-          }
-        });
-    packed = std::move(out);
-  }
-
-  // E_vertex: triples sharing their middle vertex, with different colors.
-  // Group pairs by vertex via the hypergraph incidence lists.
-  {
-    auto out = runtime::parallel_collect<std::uint64_t>(
-        sched, {h_.vertex_count(), 0},
-        [&](std::size_t lo, std::size_t hi, std::vector<std::uint64_t>& sink) {
-          for (VertexId v = lo; v < hi; ++v) {
-            const auto incident = h_.edges_of(v);
-            std::vector<std::size_t> pairs;
-            pairs.reserve(incident.size());
-            for (EdgeId e : incident) pairs.push_back(pair_of(e, v));
-            for (std::size_t i = 0; i < pairs.size(); ++i) {
-              for (std::size_t j = i; j < pairs.size(); ++j) {
-                for (std::size_t c = 1; c <= k_; ++c) {
-                  for (std::size_t d = 1; d <= k_; ++d) {
-                    if (c == d) continue;
-                    if (i == j && c >= d) continue;  // same pair: {c,d} once
-                    sink.push_back(pack_edge(tid(pairs[i], c),
-                                             tid(pairs[j], d)));
-                  }
-                }
-              }
-            }
-          }
-        });
-    packed.insert(packed.end(), out.begin(), out.end());
-  }
-
-  // E_color: same color c; the two middle vertices u, v lie together in
-  // (at least) one of the two hyperedges.  Enumerate by the witness edge
-  // f: v, u in f, triple1 = (f, v, c), triple2 = (g, u, c) for any g
-  // containing u.  Swapping roles covers witness-in-second-edge cases.
-  //
-  // NOTE (erratum-level reading of the paper): the set notation
-  // "{u,v} ⊆ e" admits u = v, but the proofs of Lemma 2.1 treat u and v
-  // as distinct ("assume that there is a further node u ∈ e, u != v ...").
-  // Indeed with u = v the lemma's part (a) is FALSE: if two hyperedges
-  // share their unique-color witness vertex v, I_f would contain
-  // (e, v, c) and (g, v, c) and an u = v E_color edge would join them.
-  // We therefore require u != v; see ConflictGraphTest.
-  // SharedWitnessAcrossEdgesStaysIndependent for the counterexample.
-  {
-    auto out = runtime::parallel_collect<std::uint64_t>(
-        sched, {m, 0},
-        [&](std::size_t lo, std::size_t hi, std::vector<std::uint64_t>& sink) {
-          for (EdgeId f = lo; f < hi; ++f) {
-            const auto verts = h_.edge(f);
-            for (VertexId v : verts) {
-              const std::size_t pv = pair_of(f, v);
-              for (VertexId u : verts) {
-                if (u == v) continue;
-                for (EdgeId g : h_.edges_of(u)) {
-                  const std::size_t pu = pair_of(g, u);
-                  for (std::size_t c = 1; c <= k_; ++c)
-                    sink.push_back(pack_edge(tid(pv, c), tid(pu, c)));
-                }
-              }
-            }
-          }
-        });
-    packed.insert(packed.end(), out.begin(), out.end());
-  }
+  // One runtime region: each chunk appends the edges from its hyperedges'
+  // blocks to every later block into a private sink
+  // (runtime/parallel.hpp).  Every edge of G_k is emitted exactly once.
+  std::vector<std::uint64_t> packed = runtime::parallel_collect<std::uint64_t>(
+      sched, {m, 0},
+      [&](std::size_t lo, std::size_t hi, std::vector<std::uint64_t>& sink) {
+        for (EdgeId e = lo; e < hi; ++e)
+          append_block_neighbors(h_, k_, edge_pair_offset_, e, e + 1, sink);
+      });
 
   cg_metrics().builds.add(1);
   cg_metrics().triples.add(n_triples);

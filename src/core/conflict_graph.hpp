@@ -16,7 +16,7 @@
 // Reading note: in E_color we require u != v.  The paper's set notation
 // "{u,v} ⊆ e" would admit u = v, but Lemma 2.1 a) only holds for the
 // u != v reading (the proofs also argue with "a further node u != v");
-// see the constructor comment in conflict_graph.cpp for the derivation.
+// see append_block_neighbors in conflict_graph.cpp for the derivation.
 //
 // Triples are densely indexed: the incidence pairs (e, v) are laid out
 // edge-by-edge (in edge-vertex order), and triple_id = pair * k + (c-1),
@@ -27,6 +27,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -46,13 +48,26 @@ struct Triple {
   [[nodiscard]] bool operator==(const Triple&) const = default;
 };
 
+/// The one G_k candidate generator.  `pair_offset[g]` is the first
+/// incidence pair of hyperedge g of h (size m + 1; triple ids are
+/// pair * k + (c - 1), the layout above).  Appends to `out` every G_k
+/// edge {a, b} (pack_edge-encoded) with a a triple of hyperedge e and b
+/// a triple of a hyperedge g >= first_partner, g != e, plus the E_edge
+/// clique of e itself.  Each such edge is appended exactly once, so
+/// calling it for every e with first_partner = e + 1 emits E(G_k)
+/// without duplicates.
+void append_block_neighbors(const Hypergraph& h, std::size_t k,
+                            std::span<const std::size_t> pair_offset,
+                            EdgeId e, EdgeId first_partner,
+                            std::vector<std::uint64_t>& out);
+
 class ConflictGraph {
  public:
   /// Build G_k for conflict-free k-coloring of h.  The hypergraph is
   /// copied so the conflict graph stays valid independently of h.
-  /// Candidate-pair enumeration of the three edge classes fans out on
-  /// `sched`; the resulting graph is bit-identical at every thread count
-  /// (tests/test_parallel_determinism.cpp).
+  /// Candidate enumeration (append_block_neighbors per hyperedge) fans
+  /// out on `sched`; the resulting graph is bit-identical at every
+  /// thread count (tests/test_parallel_determinism.cpp).
   explicit ConflictGraph(Hypergraph h, std::size_t k,
                          runtime::Scheduler& sched =
                              runtime::global_scheduler());

@@ -40,17 +40,9 @@ DynamicConflictGraph::DynamicConflictGraph(const Hypergraph& h, std::size_t k,
                                            runtime::Scheduler& sched)
     : DynamicConflictGraph(ConflictGraph(h, k, sched)) {}
 
-DynamicConflictGraph::DynamicConflictGraph(const ConflictGraph& cg) {
-  const Hypergraph& h = cg.hypergraph();
-  n_ = h.vertex_count();
-  k_ = cg.k();
-  edges_.reserve(h.edge_count());
-  for (EdgeId e = 0; e < h.edge_count(); ++e) {
-    const auto vs = h.edge(e);
-    edges_.emplace_back(vs.begin(), vs.end());
-  }
+DynamicConflictGraph::DynamicConflictGraph(const ConflictGraph& cg)
+    : h_(cg.hypergraph()), k_(cg.k()) {
   rebuild_pair_offsets();
-  rebuild_incidence();
   const Graph& g = cg.graph();
   adj_.resize(g.vertex_count());
   for (TripleId t = 0; t < adj_.size(); ++t) {
@@ -63,24 +55,9 @@ DynamicConflictGraph::DynamicConflictGraph(const ConflictGraph& cg) {
 }
 
 void DynamicConflictGraph::rebuild_pair_offsets() {
-  pair_offset_.assign(edges_.size() + 1, 0);
-  for (EdgeId e = 0; e < edges_.size(); ++e)
-    pair_offset_[e + 1] = pair_offset_[e] + edges_[e].size();
-}
-
-void DynamicConflictGraph::rebuild_incidence() {
-  incidence_.assign(n_, {});
-  for (EdgeId e = 0; e < edges_.size(); ++e)
-    for (const VertexId v : edges_[e]) incidence_[v].push_back(e);
-}
-
-std::size_t DynamicConflictGraph::pair_of(EdgeId e, VertexId v) const {
-  const auto& verts = edges_[e];
-  const auto it = std::lower_bound(verts.begin(), verts.end(), v);
-  PSL_EXPECTS_MSG(it != verts.end() && *it == v,
-                  "vertex " << v << " not in hyperedge " << e);
-  return pair_offset_[e] +
-         static_cast<std::size_t>(std::distance(verts.begin(), it));
+  pair_offset_.assign(h_.edge_count() + 1, 0);
+  for (EdgeId e = 0; e < h_.edge_count(); ++e)
+    pair_offset_[e + 1] = pair_offset_[e] + h_.edge_size(e);
 }
 
 Triple DynamicConflictGraph::triple(TripleId t) const {
@@ -92,75 +69,24 @@ Triple DynamicConflictGraph::triple(TripleId t) const {
       std::distance(pair_offset_.begin(), it) - 1);
   Triple out;
   out.e = e;
-  out.v = edges_[e][pair - pair_offset_[e]];
+  out.v = h_.edge(e)[pair - pair_offset_[e]];
   out.c = t % k_ + 1;
   return out;
 }
 
-/// Enumerate the G_k neighbors of every triple of (fresh) hyperedge e
-/// against the CURRENT edges_/incidence_ — the ball-local restriction of
-/// the three-class enumeration in conflict_graph.cpp.
-void DynamicConflictGraph::collect_fresh_neighbors(
-    EdgeId e, std::vector<std::uint64_t>& pairs) const {
-  const auto tid = [this](std::size_t pair, std::size_t c) {
-    return static_cast<VertexId>(pair * k_ + (c - 1));
-  };
-  // E_edge: the block of e is a clique.
-  const std::size_t first = pair_offset_[e] * k_;
-  const std::size_t last = pair_offset_[e + 1] * k_;
-  for (std::size_t a = first; a < last; ++a)
-    for (std::size_t b = a + 1; b < last; ++b)
-      pairs.push_back(pack_edge(static_cast<VertexId>(a),
-                                static_cast<VertexId>(b)));
-  for (const VertexId v : edges_[e]) {
-    const std::size_t pv = pair_of(e, v);
-    // E_vertex: same middle vertex, different colors.  The same-pair
-    // case (g == e) is already inside the E_edge clique above.
-    for (const EdgeId g : incidence_[v]) {
-      if (g == e) continue;
-      const std::size_t pu = pair_of(g, v);
-      for (std::size_t c = 1; c <= k_; ++c)
-        for (std::size_t d = 1; d <= k_; ++d) {
-          if (c == d) continue;
-          pairs.push_back(pack_edge(tid(pv, c), tid(pu, d)));
-        }
-    }
-    // E_color, witness edge = e: u, v both in e (u != v), partner is
-    // (g, u, c) for any g containing u.
-    for (const VertexId u : edges_[e]) {
-      if (u == v) continue;
-      for (const EdgeId g : incidence_[u]) {
-        const std::size_t pu = pair_of(g, u);
-        for (std::size_t c = 1; c <= k_; ++c)
-          pairs.push_back(pack_edge(tid(pv, c), tid(pu, c)));
-      }
-    }
-    // E_color, witness edge = g: u, v both in g (u != v), partner is
-    // (g, u, c) — g ranges over the other edges containing v.
-    for (const EdgeId g : incidence_[v]) {
-      for (const VertexId u : edges_[g]) {
-        if (u == v) continue;
-        const std::size_t pu = pair_of(g, u);
-        for (std::size_t c = 1; c <= k_; ++c)
-          pairs.push_back(pack_edge(tid(pv, c), tid(pu, c)));
-      }
-    }
-  }
-}
-
 DynamicConflictGraph::Delta DynamicConflictGraph::apply(const Mutation& mut) {
   PSL_OBS_SPAN("conflict_graph.apply_delta");
-  const auto invalid = validate_mutation(n_, edges_, mut);
+  const std::size_t n = h_.vertex_count();
+  const std::size_t old_m = h_.edge_count();
+  const auto invalid = validate_mutation(n, old_m, mut);
   PSL_CHECK_MSG(!invalid.has_value(), "dynamic conflict graph: " << *invalid);
   delta_metrics().applies.add(1);
 
   Delta delta;
   const std::size_t old_triples = adj_.size();
-  const std::size_t old_m = edges_.size();
 
   if (mut.op == MutationOp::kAddVertex) {
-    ++n_;
-    incidence_.emplace_back();
+    h_ = Hypergraph(n + 1, edge_lists(h_));
     delta.remap.resize(old_triples);
     std::iota(delta.remap.begin(), delta.remap.end(), TripleId{0});
     return delta;
@@ -183,13 +109,13 @@ DynamicConflictGraph::Delta DynamicConflictGraph::apply(const Mutation& mut) {
       break;
     case MutationOp::kRemoveVertex: {
       const VertexId v = mut.vertices[0];
-      for (const EdgeId e : incidence_[v]) {
+      for (const EdgeId e : h_.edges_of(v)) {
         edge_touched[e] = 1;
-        if (edges_[e].size() > 1) {
+        if (h_.edge_size(e) > 1) {
           replaced[e] = 1;
           std::vector<VertexId> shrunk;
-          shrunk.reserve(edges_[e].size() - 1);
-          for (const VertexId u : edges_[e])
+          shrunk.reserve(h_.edge_size(e) - 1);
+          for (const VertexId u : h_.edge(e))
             if (u != v) shrunk.push_back(u);
           replacement[e] = std::move(shrunk);
         }
@@ -251,7 +177,8 @@ DynamicConflictGraph::Delta DynamicConflictGraph::apply(const Mutation& mut) {
       new_edges.push_back(std::move(replacement[e]));
       fresh.push_back(1);
     } else {
-      new_edges.push_back(std::move(edges_[e]));
+      const auto vs = h_.edge(e);
+      new_edges.emplace_back(vs.begin(), vs.end());
       fresh.push_back(0);
     }
   }
@@ -261,9 +188,8 @@ DynamicConflictGraph::Delta DynamicConflictGraph::apply(const Mutation& mut) {
   }
 
   const std::vector<std::size_t> old_offset = std::move(pair_offset_);
-  edges_ = std::move(new_edges);
+  h_ = Hypergraph(n, std::move(new_edges));
   rebuild_pair_offsets();
-  rebuild_incidence();
 
   const std::size_t new_triples = pair_offset_.back() * k_;
   PSL_EXPECTS_MSG(new_triples < (std::uint64_t{1} << 32),
@@ -312,12 +238,12 @@ DynamicConflictGraph::Delta DynamicConflictGraph::apply(const Mutation& mut) {
 
   // Fresh blocks and their ball-local candidate enumeration.
   std::vector<std::uint64_t> candidates;
-  for (EdgeId ne = 0; ne < edges_.size(); ++ne) {
+  for (EdgeId ne = 0; ne < h_.edge_count(); ++ne) {
     if (!fresh[ne]) continue;
     for (std::size_t t = pair_offset_[ne] * k_; t < pair_offset_[ne + 1] * k_;
          ++t)
       delta.added.push_back(t);
-    collect_fresh_neighbors(ne, candidates);
+    append_block_neighbors(h_, k_, pair_offset_, ne, 0, candidates);
   }
   std::sort(candidates.begin(), candidates.end());
   candidates.erase(std::unique(candidates.begin(), candidates.end()),
@@ -386,19 +312,8 @@ DynamicConflictGraph::Delta DynamicConflictGraph::apply(const Mutation& mut) {
   return delta;
 }
 
-Hypergraph DynamicConflictGraph::hypergraph() const {
-  return Hypergraph(n_, edges_);
-}
-
 std::uint64_t DynamicConflictGraph::content_hash() const {
-  Fnv1a64 hash;
-  hash.update_u64(n_);
-  hash.update_u64(edges_.size());
-  for (const auto& edge : edges_) {
-    hash.update_u64(edge.size());
-    for (const VertexId v : edge) hash.update_u64(v);
-  }
-  return hash.digest();
+  return hash_hypergraph(h_);
 }
 
 Graph DynamicConflictGraph::snapshot(runtime::Scheduler& sched) const {

@@ -12,12 +12,12 @@
 // So every G_k edge created or destroyed by mutating hyperedge e is
 // incident to a triple of e.  A mutation therefore removes the triple
 // blocks of the touched hyperedges, renumbers the survivors (their
-// adjacency is *remapped*, never re-derived), and re-enumerates
-// candidate neighbors only for the fresh blocks — the same three-class
-// enumeration ConflictGraph runs globally, restricted to the ball around
-// the edit.  remove_vertex is handled as "remove the old edge block,
-// re-attach the shrunk edge at the same position", which keeps one
-// endpoint of every affected pair inside a touched block.
+// adjacency is *remapped*, never re-derived), and runs the one G_k
+// generator, append_block_neighbors (core/conflict_graph.hpp), for each
+// fresh block against every block — ConflictGraph runs the same
+// generator over all blocks.  remove_vertex is handled as "remove the
+// old edge block, re-attach the shrunk edge at the same position", which
+// keeps one endpoint of every affected pair inside a touched block.
 //
 // The renumbering pass is O(|G_k|) (a linear remap of the survivor
 // adjacency); what the delta path saves is the candidate enumeration and
@@ -59,14 +59,15 @@ class DynamicConflictGraph {
   explicit DynamicConflictGraph(const ConflictGraph& cg);
 
   [[nodiscard]] std::size_t k() const { return k_; }
-  [[nodiscard]] std::size_t vertex_count() const { return n_; }
-  [[nodiscard]] std::size_t edge_count() const { return edges_.size(); }
+  [[nodiscard]] std::size_t vertex_count() const {
+    return h_.vertex_count();
+  }
+  [[nodiscard]] std::size_t edge_count() const { return h_.edge_count(); }
   [[nodiscard]] std::size_t triple_count() const { return adj_.size(); }
   [[nodiscard]] std::size_t gk_edge_count() const { return gk_edges_; }
 
   [[nodiscard]] std::span<const VertexId> hyperedge(EdgeId e) const {
-    PSL_EXPECTS(e < edges_.size());
-    return edges_[e];
+    return h_.edge(e);
   }
 
   [[nodiscard]] std::span<const TripleId> neighbors(TripleId t) const {
@@ -100,11 +101,11 @@ class DynamicConflictGraph {
   /// Apply one mutation; PSL_CHECKs validate_mutation.
   Delta apply(const Mutation& mut);
 
-  /// Materialize the current hypergraph (reference semantics: equals
+  /// The current hypergraph (reference semantics: equals
   /// apply_script(base, script-so-far)).
-  [[nodiscard]] Hypergraph hypergraph() const;
+  [[nodiscard]] const Hypergraph& hypergraph() const { return h_; }
 
-  /// == hash_hypergraph(hypergraph()), streamed without materializing.
+  /// == hash_hypergraph(hypergraph()).
   [[nodiscard]] std::uint64_t content_hash() const;
 
   /// Materialize the current G_k; must equal
@@ -118,7 +119,7 @@ class DynamicConflictGraph {
   /// alpha(G_k) <= current edge count (the E_edge cliques partition
   /// V(G_k) into m cliques; see ConflictGraph::independence_upper_bound).
   [[nodiscard]] std::size_t independence_upper_bound() const {
-    return edges_.size();
+    return h_.edge_count();
   }
 
   /// How many adjacency rows this graph shares (pointer-identical row
@@ -137,17 +138,11 @@ class DynamicConflictGraph {
   /// published — apply() builds replacements and swaps pointers.
   using Row = std::shared_ptr<const std::vector<TripleId>>;
 
-  void rebuild_incidence();
   void rebuild_pair_offsets();
-  [[nodiscard]] std::size_t pair_of(EdgeId e, VertexId v) const;
-  void collect_fresh_neighbors(EdgeId e,
-                               std::vector<std::uint64_t>& pairs) const;
 
-  std::size_t n_ = 0;
+  Hypergraph h_;
   std::size_t k_ = 1;
-  std::vector<std::vector<VertexId>> edges_;    // sorted vertex lists
-  std::vector<std::vector<EdgeId>> incidence_;  // vertex -> edges, ascending
-  std::vector<std::size_t> pair_offset_;        // edge -> first pair (m+1)
+  std::vector<std::size_t> pair_offset_;  // edge -> first pair (m+1)
   std::vector<Row> adj_;  // triple -> sorted neighbors (COW rows)
   std::size_t gk_edges_ = 0;
 };

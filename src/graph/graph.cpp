@@ -85,34 +85,13 @@ void GraphBuilder::add_edge(VertexId u, VertexId v) {
   PSL_EXPECTS_MSG(u < n_ && v < n_,
                   "edge {" << u << "," << v << "} out of range n=" << n_);
   if (u == v) return;
-  if (u > v) std::swap(u, v);
-  edges_.emplace_back(u, v);
+  edges_.push_back(pack_edge(u, v));
 }
 
 Graph GraphBuilder::build() {
-  std::sort(edges_.begin(), edges_.end());
-  edges_.erase(std::unique(edges_.begin(), edges_.end()), edges_.end());
-
-  Graph g;
-  g.offsets_.assign(n_ + 1, 0);
-  for (auto [u, v] : edges_) {
-    ++g.offsets_[u + 1];
-    ++g.offsets_[v + 1];
-  }
-  for (std::size_t i = 1; i <= n_; ++i) g.offsets_[i] += g.offsets_[i - 1];
-  g.neighbors_.resize(edges_.size() * 2);
-  std::vector<std::size_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
-  for (auto [u, v] : edges_) {
-    g.neighbors_[cursor[u]++] = v;
-    g.neighbors_[cursor[v]++] = u;
-  }
-  // CSR rows are sorted because edges_ was sorted by (u, v) and insertions
-  // per row happen in ascending order of the opposite endpoint only for the
-  // first endpoint; sort each row to make neighbor lists canonical.
-  for (std::size_t v = 0; v < n_; ++v)
-    std::sort(g.neighbors_.begin() + static_cast<std::ptrdiff_t>(g.offsets_[v]),
-              g.neighbors_.begin() + static_cast<std::ptrdiff_t>(g.offsets_[v + 1]));
-  edges_.clear();
+  runtime::SequentialScheduler sequential;
+  Graph g = Graph::from_packed_edges(n_, std::move(edges_), sequential);
+  edges_.clear();  // moved-from: make "left empty" explicit
   return g;
 }
 

@@ -22,10 +22,9 @@ using VertexId = std::uint32_t;
 
 class GraphBuilder;
 
-/// Canonical one-word edge encoding used by the parallel construction
-/// paths: (min(u,v) << 32) | max(u,v).  Packed edges sort exactly like
-/// the (u, v) pairs GraphBuilder sorts, which is what keeps the parallel
-/// and sequential builds bit-identical.
+/// Canonical one-word edge encoding of every graph-build path:
+/// (min(u,v) << 32) | max(u,v).  Packed edges sort exactly like (u, v)
+/// pairs, so sorted packed edges fill CSR rows in ascending order.
 inline std::uint64_t pack_edge(VertexId u, VertexId v) {
   if (u > v) std::swap(u, v);
   return (static_cast<std::uint64_t>(u) << 32) | v;
@@ -44,8 +43,9 @@ class Graph {
 
   /// Build from pack_edge-encoded edges in any order, duplicates allowed
   /// (self-loops are not).  The dominant cost — sorting — runs on the
-  /// given scheduler; the result is bit-identical to GraphBuilder::build
-  /// on the same edge multiset at every thread count.  Consumes `packed`.
+  /// given scheduler; the result is bit-identical at every thread count.
+  /// GraphBuilder::build is this with a SequentialScheduler.  Consumes
+  /// `packed`.
   static Graph from_packed_edges(std::size_t n,
                                  std::vector<std::uint64_t>&& packed,
                                  runtime::Scheduler& sched);
@@ -100,7 +100,7 @@ class GraphBuilder {
 
  private:
   std::size_t n_;
-  std::vector<std::pair<VertexId, VertexId>> edges_;
+  std::vector<std::uint64_t> edges_;  // pack_edge-encoded
 };
 
 }  // namespace pslocal

@@ -9,8 +9,6 @@
 
 namespace pslocal {
 
-namespace {
-
 std::vector<std::vector<VertexId>> edge_lists(const Hypergraph& h) {
   std::vector<std::vector<VertexId>> edges;
   edges.reserve(h.edge_count());
@@ -20,8 +18,6 @@ std::vector<std::vector<VertexId>> edge_lists(const Hypergraph& h) {
   }
   return edges;
 }
-
-}  // namespace
 
 const char* mutation_op_name(MutationOp op) {
   switch (op) {
@@ -60,9 +56,9 @@ Mutation Mutation::remove_vertex(VertexId v) {
   return m;
 }
 
-std::optional<std::string> validate_mutation(
-    std::size_t n, const std::vector<std::vector<VertexId>>& edges,
-    const Mutation& mut) {
+std::optional<std::string> validate_mutation(std::size_t n,
+                                             std::size_t edge_count,
+                                             const Mutation& mut) {
   switch (mut.op) {
     case MutationOp::kAddEdge: {
       if (mut.vertices.empty()) return "add_edge: empty vertex list";
@@ -79,10 +75,10 @@ std::optional<std::string> validate_mutation(
       return std::nullopt;
     }
     case MutationOp::kRemoveEdge: {
-      if (mut.edge >= edges.size()) {
+      if (mut.edge >= edge_count) {
         std::ostringstream os;
         os << "remove_edge: edge " << mut.edge << " out of range (m="
-           << edges.size() << ")";
+           << edge_count << ")";
         return os.str();
       }
       return std::nullopt;

@@ -67,8 +67,16 @@ struct Mutation {
 /// otherwise a human-readable reason (used verbatim in service error
 /// payloads and qc counterexample reports).
 [[nodiscard]] std::optional<std::string> validate_mutation(
+    std::size_t n, std::size_t edge_count, const Mutation& mut);
+[[nodiscard]] inline std::optional<std::string> validate_mutation(
     std::size_t n, const std::vector<std::vector<VertexId>>& edges,
-    const Mutation& mut);
+    const Mutation& mut) {
+  return validate_mutation(n, edges.size(), mut);
+}
+
+/// The edge lists of h, i.e. the raw state the functions below mutate.
+[[nodiscard]] std::vector<std::vector<VertexId>> edge_lists(
+    const Hypergraph& h);
 
 /// Apply `mut` in place to a raw (n, edges) state.  Edge vertex lists are
 /// kept sorted (matching the Hypergraph constructor's canonical form).

@@ -236,11 +236,7 @@ MutationScript make_mutation_family(const std::string& family,
   // Tracked raw state: every emitted mutation is applied here first, so
   // validity at each prefix holds by construction.
   std::size_t n = out.base.hypergraph.vertex_count();
-  std::vector<std::vector<VertexId>> edges;
-  for (EdgeId e = 0; e < out.base.hypergraph.edge_count(); ++e) {
-    const auto vs = out.base.hypergraph.edge(e);
-    edges.emplace_back(vs.begin(), vs.end());
-  }
+  std::vector<std::vector<VertexId>> edges = edge_lists(out.base.hypergraph);
   const auto push = [&](Mutation mut) {
     apply_mutation(n, edges, mut);
     out.script.push_back(std::move(mut));

@@ -9,11 +9,12 @@
 namespace pslocal::qos {
 
 namespace {
-const obs::Counter g_admitted("qos.admitted");
+const obs::Counter g_accepted("service.queue.accepted");
+const obs::Counter g_rejected_full("service.queue.rejected_full");
+const obs::Counter g_rejected_shutdown("service.queue.rejected_shutdown");
+const obs::Histogram g_depth("service.queue.depth");
 const obs::Counter g_shed_rate("qos.shed_rate");
 const obs::Counter g_shed_deadline("qos.shed_deadline");
-const obs::Counter g_rejected_full("qos.rejected_full");
-const obs::Histogram g_depth("qos.queue.depth");
 
 /// Backoff hint for a lane-bound shed, where no token-bucket clock
 /// exists to derive one from: long enough to let a dispatch cycle
@@ -39,7 +40,10 @@ service::AdmissionVerdict FairQueue::admit(service::Pending&& pending) {
   service::AdmissionVerdict verdict;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (shutdown_) return {service::Admission::kShutdown, 0};
+    if (shutdown_) {
+      g_rejected_shutdown.add();
+      return {service::Admission::kShutdown, 0};
+    }
     const std::size_t idx = registry_.resolve(pending.request.tenant);
     const TenantConfig& cfg = registry_.config(idx);
     Lane& lane = lanes_[idx];
@@ -64,7 +68,7 @@ service::AdmissionVerdict FairQueue::admit(service::Pending&& pending) {
     lane.fifo.push_back(std::move(pending));
     ++lane.admitted;
     ++total_;
-    g_admitted.add();
+    g_accepted.add();
     g_depth.record(total_);
     verdict = {service::Admission::kAccepted, 0};
   }

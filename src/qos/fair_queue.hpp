@@ -1,18 +1,22 @@
 // Weighted-fair admission queue: per-tenant FIFOs drained by a seeded
-// deficit-round-robin scheduler.
+// deficit-round-robin scheduler.  The engine's one admission queue.
 //
-// Replaces the engine's single MPMC RequestQueue when EngineConfig.qos
-// is on.  Admission applies, in order: the global capacity bound
-// (kQueueFull — identical contract to RequestQueue), the tenant's
-// optional per-lane queue bound and token bucket (kShed with a
-// deterministic retry_after_us hint), then enqueue into the tenant's
-// FIFO stamped with its deadline class.  The dispatcher's pop_batch
-// visits tenant lanes in a seed-fixed permutation and credits each
-// visit `quantum x weight` deficit, so backlogged tenants drain in
-// proportion to their weights — the qc `qos_fairness` property pins the
-// convergence, and because every decision is a pure function of the
-// (tenant, submit_ns) admission schedule, the whole queue is
-// deterministic under replay.
+// Admission applies, in order: shutdown (kShutdown), the global
+// capacity bound (kQueueFull), the tenant's optional per-lane queue
+// bound and token bucket (kShed with a deterministic retry_after_us
+// hint), then enqueue into the tenant's FIFO stamped with its deadline
+// class.  Built from a default QosConfig there is one lane with no
+// bucket, bound or deadline, so the queue is a plain bounded FIFO.  The
+// dispatcher's pop_batch visits tenant lanes in a seed-fixed permutation
+// and credits each visit `quantum x weight` deficit, so backlogged
+// tenants drain in proportion to their weights — the qc `qos_fairness`
+// property pins the convergence, and because every decision is a pure
+// function of the (tenant, submit_ns) admission schedule, the whole
+// queue is deterministic under replay.
+//
+// Counters service.queue.{accepted,rejected_full,rejected_shutdown},
+// qos.shed_rate and qos.shed_deadline; the service.queue.depth
+// histogram records the total depth at every accepted push.
 #pragma once
 
 #include <condition_variable>
@@ -27,20 +31,31 @@
 
 namespace pslocal::qos {
 
-class FairQueue final : public service::AdmissionQueue {
+class FairQueue {
  public:
-  /// `capacity` bounds the total across all tenant lanes (the analogue
-  /// of RequestQueue's bound; EngineConfig.queue_capacity).
+  /// `capacity` bounds the total across all tenant lanes
+  /// (EngineConfig.queue_capacity).
   FairQueue(const QosConfig& config, std::size_t capacity);
 
-  [[nodiscard]] service::AdmissionVerdict admit(
-      service::Pending&& pending) override;
-  std::size_t pop_batch(std::vector<service::Pending>& out,
-                        std::size_t max) override;
-  void shutdown() override;
-  std::size_t drain(std::vector<service::Pending>& out) override;
-  [[nodiscard]] std::size_t depth() const override;
-  [[nodiscard]] std::size_t capacity() const override { return capacity_; }
+  /// Non-blocking admission.  On kAccepted the pending request has been
+  /// moved in; otherwise it is left untouched and the verdict says why.
+  [[nodiscard]] service::AdmissionVerdict admit(service::Pending&& pending);
+
+  /// Block until at least one request is queued (or shutdown), then move
+  /// up to `max` requests into `out` (appended).  Returns how many were
+  /// popped; 0 means shutdown-and-empty — the consumer should exit.
+  std::size_t pop_batch(std::vector<service::Pending>& out, std::size_t max);
+
+  /// Reject all future admissions and wake blocked consumers.  Requests
+  /// already queued remain poppable (drain before destroying).
+  void shutdown();
+
+  /// Move out everything still queued without blocking (the engine's
+  /// stop path, which rejects stragglers).
+  std::size_t drain(std::vector<service::Pending>& out);
+
+  [[nodiscard]] std::size_t depth() const;
+  [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
   [[nodiscard]] const TenantRegistry& registry() const { return registry_; }
 

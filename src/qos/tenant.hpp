@@ -34,8 +34,9 @@ struct TenantConfig {
   std::size_t queue_limit = 0;    // per-tenant FIFO bound; 0 = global only
 };
 
-/// QoS knob block embedded in service::EngineConfig.  `enabled` false
-/// keeps the engine on the single pre-QoS RequestQueue.
+/// QoS knob block embedded in service::EngineConfig.  `enabled` decides
+/// whether `tenants` become lanes of the engine's queue and show in its
+/// stats; off, the queue keeps only the default lane.
 struct QosConfig {
   bool enabled = false;
   std::vector<TenantConfig> tenants;  // default tenant added if absent

@@ -8,6 +8,7 @@
 #include "runtime/batch.hpp"
 #include "service/stages.hpp"
 #include "util/hash.hpp"
+#include "util/json.hpp"
 #include "util/timer.hpp"
 
 namespace pslocal::service {
@@ -26,15 +27,13 @@ ServiceEngine::ServiceEngine(EngineConfig config)
     : config_(config),
       sched_(config.scheduler != nullptr ? config.scheduler
                                          : &runtime::global_scheduler()),
+      queue_(config.qos.enabled ? config.qos : qos::QosConfig{},
+             config.queue_capacity),
       cache_(config.cache),
       graph_cache_(config.graph_cache_entries),
       sessions_(config.mutation_sessions) {
   if (config_.qos.enabled) {
-    auto fq = std::make_unique<qos::FairQueue>(config_.qos,
-                                               config_.queue_capacity);
-    fair_queue_ = fq.get();
-    queue_ = std::move(fq);
-    const qos::TenantRegistry& reg = fair_queue_->registry();
+    const qos::TenantRegistry& reg = queue_.registry();
     tenant_latency_.reserve(reg.size());
     for (std::size_t i = 0; i < reg.size(); ++i) {
       const std::string& name = reg.config(i).name;
@@ -42,8 +41,6 @@ ServiceEngine::ServiceEngine(EngineConfig config)
           "qos.latency_ns." + (name.empty() ? std::string("default") : name);
       tenant_latency_.emplace_back(metric.c_str());
     }
-  } else {
-    queue_ = std::make_unique<RequestQueue>(config_.queue_capacity);
   }
 }
 
@@ -64,12 +61,12 @@ void ServiceEngine::stop(StopMode mode) {
   }
   if (mode == StopMode::kReject)
     reject_drained_.store(true, std::memory_order_release);
-  queue_->shutdown();
+  queue_.shutdown();
   if (dispatcher_.joinable()) dispatcher_.join();
   // Anything still queued was never dispatched (engine not started, or
   // raced the shutdown): answer it rather than abandoning the future.
   std::vector<Pending> stragglers;
-  queue_->drain(stragglers);
+  queue_.drain(stragglers);
   reject_all(stragglers, "shutdown");
 }
 
@@ -87,7 +84,7 @@ ServiceEngine::Submitted ServiceEngine::submit(Request request) {
   std::future<Response> future = pending.promise.get_future();
 
   Submitted out;
-  const AdmissionVerdict verdict = queue_->admit(std::move(pending));
+  const AdmissionVerdict verdict = queue_.admit(std::move(pending));
   out.admission = verdict.admission;
   out.retry_after_us = verdict.retry_after_us;
   // Admission wait is the time submit() spent getting a verdict from
@@ -98,7 +95,7 @@ ServiceEngine::Submitted ServiceEngine::submit(Request request) {
   switch (out.admission) {
     case Admission::kAccepted:
       accepted_.fetch_add(1, std::memory_order_relaxed);
-      stages::record(stages::Stage::kQueueDepth, kind, queue_->depth(),
+      stages::record(stages::Stage::kQueueDepth, kind, queue_.depth(),
                      trace_id);
       out.response = std::move(future);
       break;
@@ -120,16 +117,14 @@ void ServiceEngine::dispatcher_main() {
   std::vector<Pending> drained;
   for (;;) {
     drained.clear();
-    const std::size_t n = queue_->pop_batch(drained, config_.max_batch);
+    const std::size_t n = queue_.pop_batch(drained, config_.max_batch);
     if (n == 0) return;  // shutdown and empty
     if (reject_drained_.load(std::memory_order_acquire)) {
       reject_all(drained, "shutdown");
       continue;
     }
-    if (fair_queue_ != nullptr) {
-      shed_expired(drained);
-      if (drained.empty()) continue;
-    }
+    shed_expired(drained);
+    if (drained.empty()) continue;
     dispatch_cycles_.fetch_add(1, std::memory_order_relaxed);
     serve_cycle(drained);
   }
@@ -145,15 +140,14 @@ void ServiceEngine::shed_expired(std::vector<Pending>& drained) {
   for (std::size_t i = 0; i < drained.size(); ++i) {
     Pending& pending = drained[i];
     if (pending.deadline_ns != 0 && now > pending.deadline_ns) {
-      const qos::TenantConfig& cfg =
-          fair_queue_->registry().config(pending.tenant);
+      const qos::TenantConfig& cfg = queue_.registry().config(pending.tenant);
       Response resp;
       resp.id = pending.request.id;
       resp.status = Response::Status::kRejected;
       resp.reason = "shed";
       resp.retry_after_us = cfg.deadline_ms * 1000;
       resp.total_ns = now - pending.submit_ns;
-      fair_queue_->record_deadline_shed(pending.tenant);
+      queue_.record_deadline_shed(pending.tenant);
       shed_.fetch_add(1, std::memory_order_relaxed);
       shed_deadline_.fetch_add(1, std::memory_order_relaxed);
       pending.promise.set_value(std::move(resp));
@@ -300,12 +294,12 @@ ServiceEngine::Stats ServiceEngine::stats() const {
   s.errors = errors_.load(std::memory_order_relaxed);
   s.batches = batches_.load(std::memory_order_relaxed);
   s.dispatch_cycles = dispatch_cycles_.load(std::memory_order_relaxed);
-  s.queue_capacity = queue_->capacity();
+  s.queue_capacity = queue_.capacity();
   s.cache = cache_.stats();
   s.graph_cache = graph_cache_.stats();
   s.sessions = sessions_.stats();
-  s.qos_enabled = fair_queue_ != nullptr;
-  if (fair_queue_ != nullptr) s.qos_tenants = fair_queue_->tenant_stats();
+  s.qos_enabled = config_.qos.enabled;
+  if (s.qos_enabled) s.qos_tenants = queue_.tenant_stats();
   return s;
 }
 
@@ -340,10 +334,8 @@ std::string stats_json(const ServiceEngine::Stats& stats) {
   for (std::size_t i = 0; i < stats.qos_tenants.size(); ++i) {
     const auto& t = stats.qos_tenants[i];
     if (i > 0) os << ",";
-    // Tenant names come from EngineConfig (never raw wire bytes — an
-    // unknown wire tenant resolves to "default"), so they are emitted
-    // verbatim; configs must keep them JSON-safe.
-    os << "{\"name\":\"" << t.name << "\",\"weight\":" << t.weight
+    os << "{\"name\":\"" << json::escape(t.name)
+       << "\",\"weight\":" << t.weight
        << ",\"depth\":" << t.depth << ",\"admitted\":" << t.admitted
        << ",\"shed_rate\":" << t.shed_rate
        << ",\"shed_deadline\":" << t.shed_deadline

@@ -2,13 +2,17 @@
 //
 // Wiring (docs/service.md has the full walkthrough):
 //
-//   clients --submit--> RequestQueue --pop_batch--> dispatcher thread
-//                                         |  form_batches (same cache key)
-//                                         |  SolverCache lookup per batch
-//                                         |  misses: run_task_batch on the
-//                                         |    runtime::Scheduler, one task
-//                                         |    per distinct missing key
-//                                         '--> fulfill promises (FIFO)
+//   clients --submit--> qos::FairQueue --pop_batch--> dispatcher thread
+//                                           |  shed past-deadline requests
+//                                           |  form_batches (same cache key)
+//                                           |  SolverCache lookup per batch
+//                                           |  misses: run_task_batch on the
+//                                           |    runtime::Scheduler, one task
+//                                           |    per distinct missing key
+//                                           '--> fulfill promises (FIFO)
+//
+// The FairQueue is the only admission queue.  With QoS off it has one
+// default lane: a bounded FIFO with no token bucket and no deadline.
 //
 // Contract highlights:
 //
@@ -32,7 +36,6 @@
 #include <atomic>
 #include <cstdint>
 #include <future>
-#include <memory>
 #include <thread>
 
 #include "obs/obs.hpp"
@@ -58,9 +61,9 @@ struct EngineConfig {
   /// "<name>.dispatcher" (its Perfetto track name), so a multi-engine
   /// process — one engine per shard in LocalCluster — reads cleanly.
   std::string name = "engine";
-  /// Multi-tenant QoS (docs/qos.md).  enabled replaces the single
-  /// RequestQueue with a qos::FairQueue over `qos.tenants`; off keeps
-  /// the pre-QoS admission path bit-for-bit.
+  /// Multi-tenant QoS (docs/qos.md).  enabled registers `qos.tenants`
+  /// as lanes of the admission queue and reports them in stats; off,
+  /// the queue keeps its one default lane.
   qos::QosConfig qos;
 };
 
@@ -134,7 +137,7 @@ class ServiceEngine {
   };
   [[nodiscard]] Stats stats() const;
 
-  [[nodiscard]] std::size_t queue_depth() const { return queue_->depth(); }
+  [[nodiscard]] std::size_t queue_depth() const { return queue_.depth(); }
   [[nodiscard]] const EngineConfig& config() const { return config_; }
 
  private:
@@ -145,12 +148,10 @@ class ServiceEngine {
 
   EngineConfig config_;
   runtime::Scheduler* sched_;  // never null after construction
-  std::unique_ptr<AdmissionQueue> queue_;
-  /// Non-owning view of *queue_ when config_.qos.enabled (per-tenant
-  /// stats + deadline-shed reporting); nullptr otherwise.
-  qos::FairQueue* fair_queue_ = nullptr;
+  qos::FairQueue queue_;
   /// Per-tenant "qos.latency_ns.<tenant>" histograms (exemplar-tagged
-  /// with the request trace id), indexed like the tenant registry.
+  /// with the request trace id), indexed like the tenant registry;
+  /// empty when QoS is off.
   std::vector<obs::Histogram> tenant_latency_;
   SolverCache cache_;
   ConflictGraphCache graph_cache_;

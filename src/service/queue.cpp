@@ -1,16 +1,6 @@
 #include "service/queue.hpp"
 
-#include "obs/obs.hpp"
-#include "util/check.hpp"
-
 namespace pslocal::service {
-
-namespace {
-const obs::Counter g_accepted("service.queue.accepted");
-const obs::Counter g_rejected_full("service.queue.rejected_full");
-const obs::Counter g_rejected_shutdown("service.queue.rejected_shutdown");
-const obs::Histogram g_depth("service.queue.depth");
-}  // namespace
 
 const char* admission_name(Admission a) {
   switch (a) {
@@ -20,66 +10,6 @@ const char* admission_name(Admission a) {
     case Admission::kShed: return "shed";
   }
   return "unknown";
-}
-
-RequestQueue::RequestQueue(std::size_t capacity) : capacity_(capacity) {
-  PSL_EXPECTS(capacity > 0);
-}
-
-Admission RequestQueue::try_push(Pending&& pending) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (shutdown_) {
-      g_rejected_shutdown.add();
-      return Admission::kShutdown;
-    }
-    if (items_.size() >= capacity_) {
-      g_rejected_full.add();
-      return Admission::kQueueFull;
-    }
-    items_.push_back(std::move(pending));
-    g_accepted.add();
-    g_depth.record(items_.size());
-  }
-  cv_.notify_one();
-  return Admission::kAccepted;
-}
-
-std::size_t RequestQueue::pop_batch(std::vector<Pending>& out,
-                                    std::size_t max) {
-  PSL_EXPECTS(max > 0);
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [this] { return !items_.empty() || shutdown_; });
-  std::size_t popped = 0;
-  while (popped < max && !items_.empty()) {
-    out.push_back(std::move(items_.front()));
-    items_.pop_front();
-    ++popped;
-  }
-  return popped;
-}
-
-void RequestQueue::shutdown() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    shutdown_ = true;
-  }
-  cv_.notify_all();
-}
-
-std::size_t RequestQueue::drain(std::vector<Pending>& out) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const std::size_t n = items_.size();
-  while (!items_.empty()) {
-    out.push_back(std::move(items_.front()));
-    items_.pop_front();
-  }
-  return n;
-}
-
-std::size_t RequestQueue::depth() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return items_.size();
 }
 
 }  // namespace pslocal::service

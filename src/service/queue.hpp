@@ -1,24 +1,18 @@
-// Bounded MPMC request queue with admission control.
+// Admission vocabulary of the serving front door: the verdict a submit
+// gets and the Pending record an admitted request travels in.  The one
+// queue that produces them is qos::FairQueue (qos/fair_queue.hpp);
+// built from a default QosConfig it is a single bounded FIFO lane.
 //
-// The serving front door: any number of client threads try_push pending
-// requests; the engine's dispatcher pops them in FIFO order, up to a
-// batch at a time.  Admission is non-blocking and total — a push either
-// enters the queue or is rejected *now* with a reason (kQueueFull,
-// kShutdown); clients implement their own retry policy.  Rejection is a
-// pure function of queue state, so for a serial submission schedule the
+// Admission is non-blocking and total — a push either enters the queue
+// or is rejected *now* with a reason (kQueueFull, kShutdown, kShed);
+// clients implement their own retry policy.  Rejection is a pure
+// function of queue state, so for a serial submission schedule the
 // accept/reject sequence is deterministic (tests pin it by filling an
 // undrained queue).
-//
-// Depth is tracked in an obs histogram at every successful push, which is
-// how BENCH_service.json gets its queue-depth distribution.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <future>
-#include <mutex>
-#include <vector>
 
 #include "service/request.hpp"
 
@@ -49,60 +43,6 @@ struct Pending {
   std::uint64_t submit_ns = 0;    // now_ns() at admission
   std::size_t tenant = 0;         // registry index (0 = default tenant)
   std::uint64_t deadline_ns = 0;  // absolute deadline; 0 = none
-};
-
-/// Admission-queue contract the engine dispatches from.  Two
-/// implementations: the single-FIFO RequestQueue below (qos off) and
-/// qos::FairQueue (per-tenant FIFOs + deficit-round-robin, qos on).
-class AdmissionQueue {
- public:
-  virtual ~AdmissionQueue() = default;
-
-  /// Non-blocking admission.  On kAccepted the pending request has been
-  /// moved in; otherwise it is left untouched and the verdict says why.
-  [[nodiscard]] virtual AdmissionVerdict admit(Pending&& pending) = 0;
-
-  /// Block until at least one request is queued (or shutdown), then move
-  /// up to `max` requests into `out` (appended).  Returns how many were
-  /// popped; 0 means shutdown-and-empty — the consumer should exit.
-  virtual std::size_t pop_batch(std::vector<Pending>& out,
-                                std::size_t max) = 0;
-
-  /// Reject all future pushes and wake blocked consumers.  Requests
-  /// already queued remain poppable (drain before destroying).
-  virtual void shutdown() = 0;
-
-  /// Move out everything still queued without blocking (the engine's
-  /// stop path, which rejects stragglers).
-  virtual std::size_t drain(std::vector<Pending>& out) = 0;
-
-  [[nodiscard]] virtual std::size_t depth() const = 0;
-  [[nodiscard]] virtual std::size_t capacity() const = 0;
-};
-
-class RequestQueue final : public AdmissionQueue {
- public:
-  explicit RequestQueue(std::size_t capacity);
-
-  /// Non-blocking admission (see header comment).  On kAccepted the
-  /// pending request has been moved in; otherwise it is left untouched.
-  [[nodiscard]] Admission try_push(Pending&& pending);
-
-  [[nodiscard]] AdmissionVerdict admit(Pending&& pending) override {
-    return {try_push(std::move(pending)), 0};
-  }
-  std::size_t pop_batch(std::vector<Pending>& out, std::size_t max) override;
-  void shutdown() override;
-  std::size_t drain(std::vector<Pending>& out) override;
-  [[nodiscard]] std::size_t depth() const override;
-  [[nodiscard]] std::size_t capacity() const override { return capacity_; }
-
- private:
-  const std::size_t capacity_;
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<Pending> items_;
-  bool shutdown_ = false;
 };
 
 }  // namespace pslocal::service

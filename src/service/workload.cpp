@@ -29,11 +29,7 @@ std::vector<Mutation> trace_mutation_script(const Hypergraph& h,
                                             std::size_t steps) {
   Rng rng(hash_combine(hash_hypergraph(h), variant));
   std::size_t n = h.vertex_count();
-  std::vector<std::vector<VertexId>> edges;
-  for (EdgeId e = 0; e < h.edge_count(); ++e) {
-    const auto vs = h.edge(e);
-    edges.emplace_back(vs.begin(), vs.end());
-  }
+  std::vector<std::vector<VertexId>> edges = edge_lists(h);
   std::vector<Mutation> script;
   script.reserve(steps);
   for (std::size_t i = 0; i < steps; ++i) {

@@ -6,6 +6,7 @@
 
 #include "core/correspondence.hpp"
 #include "hypergraph/generators.hpp"
+#include "obs/obs.hpp"
 
 namespace pslocal {
 namespace {
@@ -26,8 +27,8 @@ std::set<std::pair<TripleId, TripleId>> brute_force_edges(
       const auto both_in = [&](EdgeId e) {
         return h.edge_contains(e, ta.v) && h.edge_contains(e, tb.v);
       };
-      // u != v is required for E_color (see the constructor note in
-      // core/conflict_graph.cpp — with u = v Lemma 2.1 a) would fail).
+      // u != v is required for E_color (see the note on
+      // append_block_neighbors — with u = v Lemma 2.1 a) would fail).
       const bool e_color =
           ta.c == tb.c && ta.v != tb.v && (both_in(ta.e) || both_in(tb.e));
       if (e_vertex || e_edge || e_color) edges.emplace(a, b);
@@ -44,6 +45,27 @@ TEST(ConflictGraphTest, SingleEdgeIsCompleteBlock) {
   EXPECT_EQ(cg.graph().edge_count(), 6u);
   EXPECT_EQ(cg.independence_upper_bound(), 1u);
 }
+
+#if PSLOCAL_OBS_ENABLED
+// Exact work-counter pin: the block generator emits every G_k edge
+// exactly once, so conflict_graph.candidate_pairs equals the edge count.
+TEST(ConflictGraphTest, CandidatePairsEqualEdgeCount) {
+  const auto candidates = [] {
+    return obs::snapshot().counter("conflict_graph.candidate_pairs");
+  };
+  std::uint64_t before = candidates();
+  const ConflictGraph single(Hypergraph(3, {{0, 1, 2}}), 2);
+  EXPECT_EQ(single.graph().edge_count(), 15u);
+  EXPECT_EQ(candidates() - before, 15u);
+
+  // Overlapping edges: E_color pairs with a witness in both blocks are
+  // still emitted once.
+  before = candidates();
+  const ConflictGraph overlap(
+      Hypergraph(5, {{0, 1, 2}, {1, 2, 3}, {2, 3, 4}, {0, 4}}), 3);
+  EXPECT_EQ(candidates() - before, overlap.graph().edge_count());
+}
+#endif  // PSLOCAL_OBS_ENABLED
 
 TEST(ConflictGraphTest, DisjointEdgesSingleColor) {
   // Two disjoint hyperedges, k=1: only the two E_edge pairs.

@@ -135,7 +135,7 @@ TEST(QosFairQueueTest, GlobalCapacityBoundIsQueueFullNotShed) {
   EXPECT_EQ(q.admit(make_pending("a", 1)).admission, Admission::kAccepted);
   EXPECT_EQ(q.admit(make_pending("b", 2)).admission, Admission::kAccepted);
   const auto v = q.admit(make_pending("a", 3));
-  // Same contract as the pre-QoS RequestQueue: nothing was computed,
+  // Same contract as the default lane's bound: nothing was computed,
   // the client may retry — but it is not a shed (no hint).
   EXPECT_EQ(v.admission, Admission::kQueueFull);
   EXPECT_EQ(v.retry_after_us, 0u);
@@ -332,6 +332,22 @@ TEST(QosEngineTest, StatsJsonCarriesTheQosBlock) {
   const json::Value off_doc = json::parse(service::stats_json(off.stats()));
   EXPECT_EQ(off_doc.at("qos").at("enabled").as_number(), 0.0);
   EXPECT_TRUE(off_doc.at("qos").at("tenants").as_array().empty());
+}
+
+TEST(QosEngineTest, StatsJsonEscapesTenantNames) {
+  // Tenant names are arbitrary strings; the stats JSON must still parse
+  // (pslocal_stats reads it) and give the name back byte for byte.
+  service::EngineConfig cfg;
+  cfg.qos.enabled = true;
+  qos::TenantConfig t;
+  t.name = "a\"b\\c";
+  cfg.qos.tenants = {t};
+  service::ServiceEngine engine(cfg);
+
+  const json::Value doc = json::parse(service::stats_json(engine.stats()));
+  const auto& tenants = doc.at("qos").at("tenants").as_array();
+  ASSERT_EQ(tenants.size(), 2u);
+  EXPECT_EQ(tenants[1].at("name").as_string(), "a\"b\\c");
 }
 
 TEST(QosNetTest, ShedBecomesTypedNackWithBackoffHint) {

@@ -1,5 +1,6 @@
-// service/queue: bounded admission, FIFO batching pops, shutdown
-// semantics, and MPMC safety.
+// The engine's admission queue with QoS off (a qos::FairQueue built from
+// a default QosConfig: one lane): bounded admission, FIFO batching pops,
+// shutdown semantics, and MPMC safety.
 #include "service/queue.hpp"
 
 #include <gtest/gtest.h>
@@ -8,10 +9,15 @@
 #include <thread>
 #include <vector>
 
+#include "qos/fair_queue.hpp"
 #include "service/batcher.hpp"
 
 namespace pslocal::service {
 namespace {
+
+Admission push(qos::FairQueue& q, Pending&& pending) {
+  return q.admit(std::move(pending)).admission;
+}
 
 Pending make_pending(std::uint64_t id, std::uint64_t key_seed = 0) {
   Pending p;
@@ -22,19 +28,19 @@ Pending make_pending(std::uint64_t id, std::uint64_t key_seed = 0) {
 }
 
 TEST(ServiceQueueTest, AdmitsUpToCapacityThenRejectsDeterministically) {
-  RequestQueue q(3);
+  qos::FairQueue q(qos::QosConfig{}, 3);
   for (std::uint64_t i = 0; i < 3; ++i)
-    EXPECT_EQ(q.try_push(make_pending(i)), Admission::kAccepted);
+    EXPECT_EQ(push(q, make_pending(i)), Admission::kAccepted);
   // Queue full and nothing draining: every further push is rejected.
   for (std::uint64_t i = 3; i < 8; ++i)
-    EXPECT_EQ(q.try_push(make_pending(i)), Admission::kQueueFull);
+    EXPECT_EQ(push(q, make_pending(i)), Admission::kQueueFull);
   EXPECT_EQ(q.depth(), 3u);
 }
 
 TEST(ServiceQueueTest, PopBatchIsFifoAndBounded) {
-  RequestQueue q(8);
+  qos::FairQueue q(qos::QosConfig{}, 8);
   for (std::uint64_t i = 0; i < 5; ++i)
-    ASSERT_EQ(q.try_push(make_pending(i)), Admission::kAccepted);
+    ASSERT_EQ(push(q, make_pending(i)), Admission::kAccepted);
   std::vector<Pending> out;
   EXPECT_EQ(q.pop_batch(out, 3), 3u);
   ASSERT_EQ(out.size(), 3u);
@@ -46,8 +52,8 @@ TEST(ServiceQueueTest, PopBatchIsFifoAndBounded) {
 }
 
 TEST(ServiceQueueTest, ShutdownRejectsPushesAndWakesConsumers) {
-  RequestQueue q(4);
-  ASSERT_EQ(q.try_push(make_pending(0)), Admission::kAccepted);
+  qos::FairQueue q(qos::QosConfig{}, 4);
+  ASSERT_EQ(push(q, make_pending(0)), Admission::kAccepted);
   std::thread consumer([&q] {
     std::vector<Pending> out;
     // First pop gets the queued item; second observes shutdown-and-empty.
@@ -56,13 +62,13 @@ TEST(ServiceQueueTest, ShutdownRejectsPushesAndWakesConsumers) {
   });
   q.shutdown();
   consumer.join();
-  EXPECT_EQ(q.try_push(make_pending(1)), Admission::kShutdown);
+  EXPECT_EQ(push(q, make_pending(1)), Admission::kShutdown);
 }
 
 TEST(ServiceQueueTest, DrainMovesEverythingWithoutBlocking) {
-  RequestQueue q(4);
+  qos::FairQueue q(qos::QosConfig{}, 4);
   for (std::uint64_t i = 0; i < 4; ++i)
-    ASSERT_EQ(q.try_push(make_pending(i)), Admission::kAccepted);
+    ASSERT_EQ(push(q, make_pending(i)), Admission::kAccepted);
   q.shutdown();
   std::vector<Pending> out;
   EXPECT_EQ(q.drain(out), 4u);
@@ -71,7 +77,7 @@ TEST(ServiceQueueTest, DrainMovesEverythingWithoutBlocking) {
 }
 
 TEST(ServiceQueueTest, ConcurrentProducersConsumersLoseNothing) {
-  RequestQueue q(16);
+  qos::FairQueue q(qos::QosConfig{}, 16);
   constexpr std::uint64_t kPerProducer = 400;
   constexpr int kProducers = 3;
   std::atomic<std::uint64_t> popped{0};
@@ -94,7 +100,7 @@ TEST(ServiceQueueTest, ConcurrentProducersConsumersLoseNothing) {
       for (std::uint64_t i = 0; i < kPerProducer; ++i) {
         Pending pending =
             make_pending(static_cast<std::uint64_t>(p) * kPerProducer + i);
-        while (q.try_push(std::move(pending)) != Admission::kAccepted)
+        while (push(q, std::move(pending)) != Admission::kAccepted)
           std::this_thread::yield();
       }
     });

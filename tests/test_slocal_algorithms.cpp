@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <ostream>
 
 #include "coloring/coloring.hpp"
 #include "graph/generators.hpp"
@@ -16,6 +17,11 @@ struct OrderCase {
   bool reversed;
   std::uint64_t shuffle_seed;  // 0 = no shuffle
 };
+
+// Without a printer gtest lists each case with the raw bytes of OrderCase,
+// which hold a heap address and padding, so the listed test names changed
+// from build to build and run to run.
+void PrintTo(const OrderCase& c, std::ostream* os) { *os << c.name; }
 
 std::vector<VertexId> make_order(const Graph& g, const OrderCase& c) {
   std::vector<VertexId> order(g.vertex_count());
