@@ -5,6 +5,7 @@
 #include "core/conflict_graph.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "obs/obs.hpp"
 #include "runtime/parallel.hpp"
@@ -137,7 +138,7 @@ ConflictGraph::ConflictGraph(Hypergraph h, std::size_t k,
   cg_metrics().builds.add(1);
   cg_metrics().triples.add(n_triples);
   cg_metrics().candidate_pairs.add(packed.size());
-  graph_ = Graph::from_packed_edges(n_triples, std::move(packed), sched);
+  graph_ = Graph::from_packed_edges(n_triples, std::move(packed));
   cg_metrics().edges.add(graph_.edge_count());
 }
 
@@ -180,16 +181,41 @@ unsigned ConflictGraph::edge_class_mask(TripleId a, TripleId b) const {
   return mask;
 }
 
+// The census in closed form, over the disjoint cases of
+// append_block_neighbors.  Inside a block of s = |e| vertices every pair
+// is in E_edge; s C(k,2) of them also share v (E_vertex) and k C(s,2)
+// share c (E_color).  Between e and a later g with t = |e ∩ g|, every
+// edge is in exactly one class: t k(k-1) in E_vertex and
+// k (t (|g|-1) + (s-t) t) in E_color.
 ConflictGraph::ClassCounts ConflictGraph::count_edge_classes() const {
+  const auto pairs = [](std::size_t x) { return x * (x - 1) / 2; };
+  const std::size_t m = h_.edge_count();
   ClassCounts counts;
-  for (auto [a, b] : graph_.edges()) {
-    const unsigned mask = edge_class_mask(a, b);
-    PSL_CHECK_MSG(mask != 0, "conflict-graph edge outside all classes");
-    if (mask & kEVertex) ++counts.e_vertex;
-    if (mask & kEEdge) ++counts.e_edge;
-    if (mask & kEColor) ++counts.e_color;
-    ++counts.total;
+  std::vector<std::size_t> shared(m, 0);  // t per partner of the current e
+  std::vector<EdgeId> partners;
+  for (EdgeId e = 0; e < m; ++e) {
+    const std::size_t s = h_.edge_size(e);
+    counts.e_edge += pairs(s * k_);
+    counts.e_vertex += s * pairs(k_);
+    counts.e_color += k_ * pairs(s);
+    counts.total += pairs(s * k_);
+
+    partners.clear();
+    for (const VertexId v : h_.edge(e))
+      for (const EdgeId g : h_.edges_of(v))
+        if (g > e && shared[g]++ == 0) partners.push_back(g);
+    for (const EdgeId g : partners) {
+      const std::size_t t = std::exchange(shared[g], 0);
+      const std::size_t vertex = t * k_ * (k_ - 1);
+      const std::size_t color = k_ * (t * (h_.edge_size(g) - 1) + (s - t) * t);
+      counts.e_vertex += vertex;
+      counts.e_color += color;
+      counts.total += vertex + color;
+    }
   }
+  PSL_CHECK_MSG(counts.total == graph_.edge_count(),
+                "edge-class census " << counts.total << " != G_k edge count "
+                                     << graph_.edge_count());
   return counts;
 }
 

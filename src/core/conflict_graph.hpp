@@ -88,7 +88,7 @@ class ConflictGraph {
 
   /// Classification of a conflict-graph edge (a, b must be adjacent or at
   /// least valid triples): bit-or of the classes whose defining predicate
-  /// the pair satisfies.
+  /// the pair satisfies.  The reference predicate of the census below.
   enum EdgeClass : unsigned {
     kEVertex = 1u,
     kEEdge = 2u,
@@ -103,7 +103,9 @@ class ConflictGraph {
     std::size_t total = 0;     // distinct edges of G_k
   };
   /// Tally the classes over all edges of G_k (an edge counts once per
-  /// class it belongs to; total counts it once).
+  /// class it belongs to; total counts it once).  Computed in closed form
+  /// from the hypergraph in O(sum_e sum_{v in e} deg v), not per edge;
+  /// the tests check it against a per-edge edge_class_mask tally.
   [[nodiscard]] ClassCounts count_edge_classes() const;
 
   /// alpha(G_k) <= m: the E_edge cliques {(e,?,?)} partition V(G_k) into

@@ -316,7 +316,7 @@ std::uint64_t DynamicConflictGraph::content_hash() const {
   return hash_hypergraph(h_);
 }
 
-Graph DynamicConflictGraph::snapshot(runtime::Scheduler& sched) const {
+Graph DynamicConflictGraph::snapshot(runtime::Scheduler& /*sched*/) const {
   std::vector<std::uint64_t> packed;
   packed.reserve(gk_edges_);
   for (TripleId t = 0; t < adj_.size(); ++t)
@@ -324,7 +324,7 @@ Graph DynamicConflictGraph::snapshot(runtime::Scheduler& sched) const {
       if (t < nb)
         packed.push_back(pack_edge(static_cast<VertexId>(t),
                                    static_cast<VertexId>(nb)));
-  return Graph::from_packed_edges(adj_.size(), std::move(packed), sched);
+  return Graph::from_packed_edges(adj_.size(), std::move(packed));
 }
 
 std::uint64_t DynamicConflictGraph::graph_hash() const {

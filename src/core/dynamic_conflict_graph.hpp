@@ -109,7 +109,9 @@ class DynamicConflictGraph {
   [[nodiscard]] std::uint64_t content_hash() const;
 
   /// Materialize the current G_k; must equal
-  /// ConflictGraph(hypergraph(), k).graph() bit for bit.
+  /// ConflictGraph(hypergraph(), k).graph() bit for bit.  The build is
+  /// sequential (Graph::from_packed_edges); the scheduler argument is
+  /// accepted and unused.
   [[nodiscard]] Graph snapshot(runtime::Scheduler& sched =
                                    runtime::global_scheduler()) const;
 

@@ -14,10 +14,6 @@
 
 namespace pslocal {
 
-namespace runtime {
-class Scheduler;
-}
-
 using VertexId = std::uint32_t;
 
 class GraphBuilder;
@@ -42,13 +38,13 @@ class Graph {
                           bool dedup = false);
 
   /// Build from pack_edge-encoded edges in any order, duplicates allowed
-  /// (self-loops are not).  The dominant cost — sorting — runs on the
-  /// given scheduler; the result is bit-identical at every thread count.
-  /// GraphBuilder::build is this with a SequentialScheduler.  Consumes
-  /// `packed`.
+  /// (self-loops are not).  Every edge is validated before a stable LSD
+  /// radix sort over the ceil(log2 n) significant bits of each endpoint
+  /// (digits of at most 16 bits: two passes up to n = 65536), so the
+  /// cost is linear in the edge count.  GraphBuilder::build is this.
+  /// Consumes `packed`.
   static Graph from_packed_edges(std::size_t n,
-                                 std::vector<std::uint64_t>&& packed,
-                                 runtime::Scheduler& sched);
+                                 std::vector<std::uint64_t>&& packed);
 
   [[nodiscard]] std::size_t vertex_count() const { return offsets_.empty() ? 0 : offsets_.size() - 1; }
   [[nodiscard]] std::size_t edge_count() const { return neighbors_.size() / 2; }

@@ -37,6 +37,30 @@ std::set<std::pair<TripleId, TripleId>> brute_force_edges(
   return edges;
 }
 
+// Per-edge reference for the closed-form census: tally edge_class_mask
+// over every edge of G_k.
+ConflictGraph::ClassCounts tally_edge_classes(const ConflictGraph& cg) {
+  ConflictGraph::ClassCounts counts;
+  for (auto [a, b] : cg.graph().edges()) {
+    const unsigned mask = cg.edge_class_mask(a, b);
+    EXPECT_NE(mask, 0u) << "conflict-graph edge outside all classes";
+    if (mask & ConflictGraph::kEVertex) ++counts.e_vertex;
+    if (mask & ConflictGraph::kEEdge) ++counts.e_edge;
+    if (mask & ConflictGraph::kEColor) ++counts.e_color;
+    ++counts.total;
+  }
+  return counts;
+}
+
+void expect_census_matches_tally(const ConflictGraph& cg) {
+  const auto census = cg.count_edge_classes();
+  const auto tally = tally_edge_classes(cg);
+  EXPECT_EQ(census.e_vertex, tally.e_vertex);
+  EXPECT_EQ(census.e_edge, tally.e_edge);
+  EXPECT_EQ(census.e_color, tally.e_color);
+  EXPECT_EQ(census.total, tally.total);
+}
+
 TEST(ConflictGraphTest, SingleEdgeIsCompleteBlock) {
   // One hyperedge {0,1}, k=2: 4 triples forming a K4 via E_edge.
   const Hypergraph h(2, {{0, 1}});
@@ -176,6 +200,7 @@ TEST_P(ConflictGraphBruteForceTest, MatchesDefinitionExactly) {
   for (auto [a, b] : cg.graph().edges())
     actual.emplace(static_cast<TripleId>(a), static_cast<TripleId>(b));
   EXPECT_EQ(actual, expected);
+  expect_census_matches_tally(cg);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, ConflictGraphBruteForceTest,
@@ -231,6 +256,7 @@ TEST(ConflictGraphTest, DuplicateHyperedgesAreLegal) {
   EXPECT_TRUE(report.independent);
   EXPECT_TRUE(report.attains_maximum);
   EXPECT_EQ(report.is_size, 3u);
+  expect_census_matches_tally(cg);
 }
 
 TEST(ConflictGraphTest, ClassCountsCoverAllEdges) {
@@ -259,6 +285,7 @@ TEST(ConflictGraphTest, InterValHypergraphAlsoWorks) {
   for (auto [a, b] : cg.graph().edges())
     actual.emplace(static_cast<TripleId>(a), static_cast<TripleId>(b));
   EXPECT_EQ(actual, expected);
+  expect_census_matches_tally(cg);
 }
 
 }  // namespace

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "graph/io.hpp"
+#include "util/rng.hpp"
 
 namespace pslocal {
 namespace {
@@ -77,6 +79,72 @@ TEST(GraphTest, RoundTripThroughEdgeListIO) {
 TEST(GraphTest, ReadRejectsTruncatedInput) {
   std::stringstream ss("3 2\n0 1\n");  // promises 2 edges, has 1
   EXPECT_THROW(read_edge_list(ss), ContractViolation);
+}
+
+// from_packed_edges radix-sorts its input.  The reference is the graph a
+// std::sort + unique of the same words describes: every edge as two
+// arcs, rows ascending.
+void expect_matches_sorted_reference(std::size_t n,
+                                     std::vector<std::uint64_t> packed) {
+  std::vector<std::pair<VertexId, VertexId>> arcs;
+  {
+    auto sorted = packed;
+    std::sort(sorted.begin(), sorted.end());
+    sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+    for (const std::uint64_t pe : sorted) {
+      const auto u = static_cast<VertexId>(pe >> 32);
+      const auto v = static_cast<VertexId>(pe & 0xffffffffULL);
+      arcs.emplace_back(u, v);
+      arcs.emplace_back(v, u);
+    }
+    std::sort(arcs.begin(), arcs.end());
+  }
+  const Graph g = Graph::from_packed_edges(n, std::move(packed));
+  ASSERT_EQ(g.vertex_count(), n);
+  EXPECT_EQ(g.edge_count(), arcs.size() / 2);
+  std::vector<std::pair<VertexId, VertexId>> actual;
+  actual.reserve(arcs.size());
+  for (VertexId v = 0; v < n; ++v)
+    for (const VertexId w : g.neighbors(v)) actual.emplace_back(v, w);
+  EXPECT_EQ(actual, arcs) << "n=" << n;
+}
+
+TEST(GraphTest, FromPackedEdgesMatchesSortedReference) {
+  // n = 2 and 65536 sort in two passes (one per endpoint); 65537 and
+  // 2^20 need two digits per endpoint.  100 edges at n = 65536 take the
+  // std::sort path.
+  for (const std::size_t n : {std::size_t{2}, std::size_t{65536},
+                              std::size_t{65537}, std::size_t{1} << 20})
+    for (const std::size_t draws : {100, 20000}) {
+      Rng rng(n + draws);
+      std::vector<std::uint64_t> packed;
+      for (std::size_t i = 0; i < draws; ++i) {
+        const auto u = static_cast<VertexId>(rng.next_below(n));
+        const auto v = static_cast<VertexId>(rng.next_below(n));
+        if (u != v) packed.push_back(pack_edge(u, v));
+      }
+      packed.push_back(pack_edge(0, static_cast<VertexId>(n - 1)));
+      for (std::size_t i = 0; i < draws / 4; ++i)  // duplicates
+        packed.push_back(packed[rng.next_below(packed.size())]);
+      rng.shuffle(packed);
+      expect_matches_sorted_reference(n, std::move(packed));
+    }
+  expect_matches_sorted_reference(5, {});
+}
+
+TEST(GraphTest, FromPackedEdgesRejectsInvalidBeforeSorting) {
+  const auto raw = [](std::uint64_t u, std::uint64_t v) {
+    return (u << 32) | v;
+  };
+  // v >= n: bits outside the b = 2 bits an n = 4 sort reads.
+  EXPECT_THROW(Graph::from_packed_edges(4, {raw(0, 1), raw(1, 1000)}),
+               ContractViolation);
+  EXPECT_THROW(Graph::from_packed_edges(4, {raw(0, 1), raw(2, 4)}),
+               ContractViolation);
+  // u == v and u > v.
+  EXPECT_THROW(Graph::from_packed_edges(4, {raw(2, 2), raw(0, 1)}),
+               ContractViolation);
+  EXPECT_THROW(Graph::from_packed_edges(4, {raw(3, 1)}), ContractViolation);
 }
 
 }  // namespace
