@@ -1,4 +1,4 @@
-// Runtime experiment: scaling of the work-stealing scheduler on the
+// Runtime experiment: scaling of the thread-pool scheduler on the
 // library's parallel hot paths, with the determinism contract enforced.
 //
 // For each thread count in {1, 2, 4, 8} the bench runs
@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
   const std::size_t reps = opts.get_int("reps", 3);
 
   // Planted instance sized so candidate-pair enumeration alone exceeds
-  // 10^5 pairs (checked below) — big enough for stealing to matter.
+  // 10^5 pairs (checked below) — big enough for load balance to matter.
   PlantedCfParams params;
   params.n = opts.get_int("n", 256);
   params.m = opts.get_int("m", 256);

@@ -79,37 +79,23 @@ GreedyCfResult greedy_cf_coloring(const Hypergraph& h,
   };
 
   constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
-  // Below this palette size the sequential early-exit scan wins; both
-  // paths compute the same minimum feasible color.
-  constexpr std::size_t kParallelPalette = 64;
-
   std::size_t palette = 0;
   for (VertexId v : order) {
-    std::size_t pick = kNone;
-    if (palette < kParallelPalette || sched.thread_count() == 1) {
-      std::vector<std::size_t> scratch;
-      for (std::size_t c = 1; c <= palette; ++c) {
-        if (feasible(v, c, scratch)) {
-          pick = c;
-          break;
-        }
-      }
-    } else {
-      // Parallel scoring: min over the palette of the first feasible
-      // color.  Chunks scan ascending and stop at their first hit, so
-      // each chunk returns its own minimum; combining with min yields
-      // exactly the sequential scan's pick.
-      pick = runtime::parallel_reduce<std::size_t>(
-          sched, {palette, 0}, kNone,
-          [&](std::size_t lo, std::size_t hi, std::size_t) {
-            std::vector<std::size_t> scratch;
-            for (std::size_t i = lo; i < hi; ++i) {
-              if (feasible(v, i + 1, scratch)) return i + 1;
-            }
-            return kNone;
-          },
-          [](std::size_t a, std::size_t b) { return std::min(a, b); });
-    }
+    // Min over the palette of the first feasible color.  Chunks scan
+    // ascending and stop at their first hit, so each chunk returns its
+    // own minimum and combining with min yields the sequential scan's
+    // pick.  A palette of at most 2048 colors is one chunk (default_grain),
+    // i.e. exactly the sequential early-exit scan.
+    const std::size_t pick = runtime::parallel_reduce<std::size_t>(
+        sched, {palette, 0}, kNone,
+        [&](std::size_t lo, std::size_t hi, std::size_t) {
+          std::vector<std::size_t> scratch;
+          for (std::size_t i = lo; i < hi; ++i) {
+            if (feasible(v, i + 1, scratch)) return i + 1;
+          }
+          return kNone;
+        },
+        [](std::size_t a, std::size_t b) { return std::min(a, b); });
     // Fresh color: unique in every incident edge by construction.
     res.coloring[v] = pick == kNone ? ++palette : pick;
   }

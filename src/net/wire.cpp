@@ -103,14 +103,9 @@ bool frame_kind_valid(std::uint8_t kind) {
          kind <= static_cast<std::uint8_t>(FrameKind::kStatsResponse);
 }
 
-std::string encode_frame(const Frame& frame, std::uint8_t version) {
+std::string encode_frame(const Frame& frame) {
   PSL_EXPECTS(frame.tenant.size() <= kMaxTenantLen);
   PSL_EXPECTS(frame.tenant.size() + frame.payload.size() <= kMaxPayload);
-  PSL_EXPECTS_MSG(version == 1 || version == 2,
-                  "net: unencodable frame version");
-  PSL_EXPECTS_MSG(version == 2 || frame.tenant.empty(),
-                  "net: v1 frames cannot carry a tenant id");
-  const std::size_t header = version == 1 ? kHeaderSizeV1 : kHeaderSize;
   // The payload region is tenant-prefix + logical payload; one checksum
   // covers both, and an empty tenant reproduces the pre-QoS bytes.
   const std::size_t region = frame.tenant.size() + frame.payload.size();
@@ -118,22 +113,20 @@ std::string encode_frame(const Frame& frame, std::uint8_t version) {
   fnv.update_bytes(frame.tenant.data(), frame.tenant.size());
   fnv.update_bytes(frame.payload.data(), frame.payload.size());
   std::string out;
-  out.reserve(header + region);
+  out.reserve(kHeaderSize + region);
   put_u32(out, kMagic);
-  put_u8(out, version);
+  put_u8(out, kVersion);
   put_u8(out, static_cast<std::uint8_t>(frame.kind));
   put_u16(out, 0);
   put_u64(out, frame.request_id);
   put_u32(out, static_cast<std::uint32_t>(region));
   put_u32(out, static_cast<std::uint32_t>(frame.tenant.size()));
   put_u64(out, fnv.digest());
-  if (version == 2) {
-    put_u64(out, frame.trace_id);
-    put_u64(out, frame.parent_span_id);
-  }
+  put_u64(out, frame.trace_id);
+  put_u64(out, frame.parent_span_id);
   out += frame.tenant;
   out += frame.payload;
-  PSL_ENSURES(out.size() == header + region);
+  PSL_ENSURES(out.size() == kHeaderSize + region);
   return out;
 }
 
@@ -162,15 +155,13 @@ FrameDecoder::Result FrameDecoder::fail(const std::string& why) {
 FrameDecoder::Result FrameDecoder::next(Frame& out) {
   if (corrupt_) return Result::kCorrupt;
   const std::size_t avail = buffer_.size() - consumed_;
-  if (avail < kHeaderSizeV1) return Result::kNeedMore;
+  if (avail < kHeaderSize) return Result::kNeedMore;
   const char* h = buffer_.data() + consumed_;
 
   if (load_u32(h) != kMagic) return fail("bad magic");
   const auto version = static_cast<std::uint8_t>(h[4]);
-  if (version != 1 && version != kVersion)
+  if (version != kVersion)
     return fail("unsupported version " + std::to_string(version));
-  // v1 peers stop after the checksum word; v2 appends the trace words.
-  const std::size_t header_size = version == 1 ? kHeaderSizeV1 : kHeaderSize;
   const auto kind = static_cast<std::uint8_t>(h[5]);
   if (!frame_kind_valid(kind))
     return fail("unknown frame kind " + std::to_string(kind));
@@ -181,33 +172,28 @@ FrameDecoder::Result FrameDecoder::next(Frame& out) {
     return fail("payload length " + std::to_string(payload_len) +
                 " exceeds bound " + std::to_string(max_payload_));
   const std::uint32_t tenant_len = load_u32(h + 20);
-  if (version == 1) {
-    // v1 has no tenant field — the word is still reserved there.
-    if (tenant_len != 0) return fail("nonzero reserved field");
-  } else {
-    // The tenant prefix must fit inside the declared payload region: a
-    // lying tenant_len cannot move the payload split past the bytes the
-    // checksum covers (regression-pinned; fuzzed by qc `net_frame`).
-    if (tenant_len > payload_len)
-      return fail("tenant length " + std::to_string(tenant_len) +
-                  " exceeds payload bound " + std::to_string(payload_len));
-    if (tenant_len > kMaxTenantLen)
-      return fail("tenant length " + std::to_string(tenant_len) +
-                  " exceeds bound " + std::to_string(kMaxTenantLen));
-  }
+  // The tenant prefix must fit inside the declared payload region: a
+  // lying tenant_len cannot move the payload split past the bytes the
+  // checksum covers (regression-pinned; fuzzed by qc `net_frame`).
+  if (tenant_len > payload_len)
+    return fail("tenant length " + std::to_string(tenant_len) +
+                " exceeds payload bound " + std::to_string(payload_len));
+  if (tenant_len > kMaxTenantLen)
+    return fail("tenant length " + std::to_string(tenant_len) +
+                " exceeds bound " + std::to_string(kMaxTenantLen));
   const std::uint64_t payload_fnv = load_u64(h + 24);
 
-  if (avail < header_size + payload_len) return Result::kNeedMore;
-  const std::string_view region(h + header_size, payload_len);
+  if (avail < kHeaderSize + payload_len) return Result::kNeedMore;
+  const std::string_view region(h + kHeaderSize, payload_len);
   if (fnv1a64(region) != payload_fnv) return fail("payload checksum mismatch");
 
   out.kind = static_cast<FrameKind>(kind);
   out.request_id = request_id;
-  out.trace_id = version == 1 ? 0 : load_u64(h + 32);
-  out.parent_span_id = version == 1 ? 0 : load_u64(h + 40);
+  out.trace_id = load_u64(h + 32);
+  out.parent_span_id = load_u64(h + 40);
   out.tenant.assign(region.data(), tenant_len);
   out.payload.assign(region.data() + tenant_len, region.size() - tenant_len);
-  consumed_ += header_size + payload_len;
+  consumed_ += kHeaderSize + payload_len;
   if (consumed_ == buffer_.size()) {
     buffer_.clear();
     consumed_ = 0;

@@ -11,22 +11,20 @@
 //
 //   offset  width  field
 //        0      4  magic        "PSL1" (0x314c5350 little-endian)
-//        4      1  version      kVersion (currently 2; 1 still decodes)
+//        4      1  version      kVersion (2; any other value is corrupt)
 //        5      1  kind         FrameKind (request/response/nack/stats)
 //        6      2  reserved     must be 0
 //        8      8  request_id   caller-assigned; echoed in the response
 //       16      4  payload_len  <= max_payload (decoder-configured)
-//       20      4  tenant_len   v2: QoS tenant-id prefix length; v1: must be 0
+//       20      4  tenant_len   QoS tenant-id prefix length
 //       24      8  payload_fnv  fnv1a64(payload region)
-//       32      8  trace_id     distributed trace id (v2; 0 = untraced)
-//       40      8  parent_span_id  sender's span (v2; 0 = root)
+//       32      8  trace_id     distributed trace id (0 = untraced)
+//       40      8  parent_span_id  sender's span (0 = root)
 //       48      …  payload
 //
-// Version 1 frames (PR 5/6 peers) are the same layout without the two
-// trace words — a 32-byte header with the payload at offset 32.  The
-// decoder accepts both: v1 frames simply decode with zero trace fields,
-// so trace context is always *on the wire* (zero when absent or when
-// built with -DPSLOCAL_OBS=OFF) without breaking older byte streams.
+// Trace context is always *on the wire*: zero when absent or when built
+// with -DPSLOCAL_OBS=OFF.  The decoder waits for a full 48-byte header
+// and rejects every version other than kVersion.
 //
 // The QoS tenant id (docs/qos.md) rides as an optional prefix of the
 // payload region: `tenant_len` (the former reserved2 word) names how
@@ -37,7 +35,7 @@
 // byte-identical to the old encoding, which keeps recorded replay
 // streams valid.  The decoder rejects tenant_len > payload_len (a
 // length lie cannot move the payload split past the region) and bounds
-// tenant ids at kMaxTenantLen.  v1 frames cannot carry a tenant.
+// tenant ids at kMaxTenantLen.
 //
 // Payload encodings reuse the canonical serialization style of
 // util/hash (fixed-width little-endian words, length-prefixed strings):
@@ -63,10 +61,8 @@ namespace pslocal::net::wire {
 
 inline constexpr std::uint32_t kMagic = 0x314c5350u;  // "PSL1"
 inline constexpr std::uint8_t kVersion = 2;
-/// Header size of a kVersion frame (v2: includes the trace words).
+/// Header size of a frame (includes the trace words).
 inline constexpr std::size_t kHeaderSize = 48;
-/// Header size of a legacy version-1 frame (no trace words).
-inline constexpr std::size_t kHeaderSizeV1 = 32;
 /// Default payload bound: generous for request instances, small enough
 /// that a length-lying frame cannot make the decoder allocate wildly.
 inline constexpr std::size_t kMaxPayload = 16u << 20;
@@ -92,23 +88,19 @@ struct Frame {
   FrameKind kind = FrameKind::kRequest;
   std::uint64_t request_id = 0;
   std::string payload;
-  // Distributed trace context (v2 header words; decoded as 0 from v1
-  // frames and from untraced senders).
+  // Distributed trace context (header words; 0 from untraced senders).
   std::uint64_t trace_id = 0;
   std::uint64_t parent_span_id = 0;
-  // QoS tenant id (v2 payload-region prefix; empty = default tenant —
+  // QoS tenant id (payload-region prefix; empty = default tenant —
   // and an empty tenant leaves the wire bytes identical to pre-QoS
   // frames).  Never part of the request payload or any cache key.
   std::string tenant;
 };
 
-/// Serialize a frame (header + payload) into wire bytes.  `version`
-/// must be 1 or 2; version 1 drops the trace words (compatibility
-/// shim, used by tests and old-peer simulation) and requires an empty
-/// tenant.  PSL_EXPECTS tenant.size() + payload.size() <= kMaxPayload
-/// and tenant.size() <= kMaxTenantLen.
-[[nodiscard]] std::string encode_frame(const Frame& frame,
-                                       std::uint8_t version = kVersion);
+/// Serialize a frame (header + payload) into wire bytes.  PSL_EXPECTS
+/// tenant.size() + payload.size() <= kMaxPayload and tenant.size() <=
+/// kMaxTenantLen.
+[[nodiscard]] std::string encode_frame(const Frame& frame);
 
 /// Strict incremental frame parser (see header comment).
 class FrameDecoder {

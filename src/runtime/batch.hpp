@@ -6,7 +6,7 @@
 // over [0, n).  A service batch is the other shape — a short vector of
 // distinct closures (one per unique cache miss) with wildly different
 // costs.  run_task_batch maps each task to a one-element chunk (grain 1)
-// so the work-stealing pool can rebalance whole tasks between lanes,
+// so each pool lane claims the next unclaimed task as soon as it is free,
 // while keeping the Scheduler contract: each task runs exactly once, and
 // any cross-task combining the caller does afterwards is in task order.
 //

@@ -190,8 +190,8 @@ void ServiceEngine::serve_cycle(std::vector<Pending>& drained) {
                    now_ns() - probe_ns, front.trace_id);
   }
 
-  // One task per distinct missing key; heterogeneous costs, so let the
-  // work-stealing pool rebalance whole tasks (runtime/batch.hpp).  Each
+  // One task per distinct missing key; heterogeneous costs, so each pool
+  // lane claims whole tasks one at a time (runtime/batch.hpp).  Each
   // task writes only its own outcome slot.
   {
     PSL_OBS_SPAN("service.compute");

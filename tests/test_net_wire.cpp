@@ -108,6 +108,16 @@ TEST(NetWireTest, DecoderRejectsHeaderCorruption) {
   expect_corrupt(bytes, 5, "kind");
   expect_corrupt(bytes, 6, "reserved");
   expect_corrupt(bytes, 24, "checksum");
+
+  // Only kVersion decodes: a version-1 byte (the 32-byte header without
+  // trace words) makes the stream corrupt.
+  std::string v1 = bytes;
+  v1[4] = 1;
+  FrameDecoder dec;
+  dec.feed(v1);
+  Frame out;
+  EXPECT_EQ(dec.next(out), FrameDecoder::Result::kCorrupt);
+  EXPECT_EQ(dec.error(), "unsupported version 1");
 }
 
 TEST(NetWireTest, TenantRoundTripsInV2Header) {
@@ -135,19 +145,6 @@ TEST(NetWireTest, EmptyTenantLeavesWireBytesUnchanged) {
   const std::string before = encode_frame(in);
   in.tenant = "";
   EXPECT_EQ(encode_frame(in), before);
-}
-
-TEST(NetWireTest, V1FrameWithNonzeroTenantWordIsCorrupt) {
-  // v1 has no tenant field: the word at offset 20 is still reserved
-  // there and must be zero.  A v1 peer that starts scribbling into it
-  // is broken, not "early QoS".
-  std::string bytes = encode_frame(request_frame(5), /*version=*/1);
-  bytes[20] = 1;
-  FrameDecoder dec;
-  dec.feed(bytes);
-  Frame out;
-  EXPECT_EQ(dec.next(out), FrameDecoder::Result::kCorrupt);
-  EXPECT_TRUE(dec.corrupt());
 }
 
 TEST(NetWireTest, TenantLengthBeyondPayloadBoundIsCorrupt) {
@@ -282,52 +279,6 @@ TEST(NetWireTest, TraceWordsRoundTripInV2Header) {
   ASSERT_EQ(dec2.next(out), FrameDecoder::Result::kFrame);
   EXPECT_EQ(out.trace_id, 0u);
   EXPECT_EQ(out.parent_span_id, 0u);
-}
-
-TEST(NetWireTest, V1FramesDecodeWithZeroTraceFields) {
-  // A version-1 peer has no trace words: its header is 32 bytes and the
-  // payload starts at offset 32.  The decoder must keep accepting it.
-  Frame in = request_frame(21);
-  in.trace_id = 0xAAAA;  // dropped by the v1 encoding
-  in.parent_span_id = 0xBBBB;
-  const std::string bytes = encode_frame(in, /*version=*/1);
-  ASSERT_EQ(bytes.size(), kHeaderSizeV1 + in.payload.size());
-
-  FrameDecoder dec;
-  dec.feed(bytes);
-  Frame out;
-  ASSERT_EQ(dec.next(out), FrameDecoder::Result::kFrame);
-  EXPECT_EQ(out.kind, in.kind);
-  EXPECT_EQ(out.request_id, 21u);
-  EXPECT_EQ(out.payload, in.payload);
-  EXPECT_EQ(out.trace_id, 0u);
-  EXPECT_EQ(out.parent_span_id, 0u);
-  EXPECT_EQ(dec.buffered(), 0u);
-}
-
-TEST(NetWireTest, MixedVersionFramesShareOneStream) {
-  // v2, v1, v2 back to back: per-frame version sniffing, no cross-talk.
-  Frame traced = request_frame(1);
-  traced.trace_id = 0xC0FFEE;
-  std::string bytes = encode_frame(traced);
-  bytes += encode_frame(request_frame(2), /*version=*/1);
-  Frame traced3 = request_frame(3);
-  traced3.trace_id = 0xDECAF;
-  bytes += encode_frame(traced3);
-
-  FrameDecoder dec;
-  dec.feed(bytes);
-  Frame out;
-  ASSERT_EQ(dec.next(out), FrameDecoder::Result::kFrame);
-  EXPECT_EQ(out.request_id, 1u);
-  EXPECT_EQ(out.trace_id, 0xC0FFEEu);
-  ASSERT_EQ(dec.next(out), FrameDecoder::Result::kFrame);
-  EXPECT_EQ(out.request_id, 2u);
-  EXPECT_EQ(out.trace_id, 0u);
-  ASSERT_EQ(dec.next(out), FrameDecoder::Result::kFrame);
-  EXPECT_EQ(out.request_id, 3u);
-  EXPECT_EQ(out.trace_id, 0xDECAFu);
-  EXPECT_EQ(dec.next(out), FrameDecoder::Result::kNeedMore);
 }
 
 TEST(NetWireTest, StatsFrameKindsRoundTrip) {
