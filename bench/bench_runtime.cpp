@@ -2,10 +2,11 @@
 // library's parallel hot paths, with the determinism contract enforced.
 //
 // For each thread count in {1, 2, 4, 8} the bench runs
-//   (a) conflict-graph construction (parallel candidate-pair enumeration),
+//   (a) conflict-graph construction (sequential sorted-row pass),
 //   (b) Luby MIS on G_k (parallel round evaluation),
-//   (c) min-degree greedy MaxIS on G_k (parallel argmin scoring),
-// on one planted instance and CHECKs that every output is byte-identical
+//   (c) min-degree greedy MaxIS on G_k (sequential argmin scan),
+// on one planted instance (a and c ignore the pool, so their speedup
+// columns read about 1x) and CHECKs that every output is byte-identical
 // to the single-threaded run — the runtime/scheduler.hpp contract, which
 // holds on any machine.  Speedups are reported, not asserted: they only
 // materialize with real cores (hardware_concurrency is in the output, so

@@ -16,7 +16,7 @@
 // Reading note: in E_color we require u != v.  The paper's set notation
 // "{u,v} ⊆ e" would admit u = v, but Lemma 2.1 a) only holds for the
 // u != v reading (the proofs also argue with "a further node u != v");
-// see append_block_neighbors in conflict_graph.cpp for the derivation.
+// see append_block_rows in conflict_graph.cpp for the derivation.
 //
 // Triples are densely indexed: the incidence pairs (e, v) are laid out
 // edge-by-edge (in edge-vertex order), and triple_id = pair * k + (c-1),
@@ -48,26 +48,29 @@ struct Triple {
   [[nodiscard]] bool operator==(const Triple&) const = default;
 };
 
-/// The one G_k candidate generator.  `pair_offset[g]` is the first
-/// incidence pair of hyperedge g of h (size m + 1; triple ids are
-/// pair * k + (c - 1), the layout above).  Appends to `out` every G_k
-/// edge {a, b} (pack_edge-encoded) with a a triple of hyperedge e and b
-/// a triple of a hyperedge g >= first_partner, g != e, plus the E_edge
-/// clique of e itself.  Each such edge is appended exactly once, so
-/// calling it for every e with first_partner = e + 1 emits E(G_k)
-/// without duplicates.
-void append_block_neighbors(const Hypergraph& h, std::size_t k,
-                            std::span<const std::size_t> pair_offset,
-                            EdgeId e, EdgeId first_partner,
-                            std::vector<std::uint64_t>& out);
+/// The one G_k row generator.  `pair_offset[g]` is the first incidence
+/// pair of hyperedge g of h (size m + 1; triple ids are
+/// pair * k + (c - 1), the layout above).  For each hyperedge e in
+/// [e_begin, e_end) and each triple of e, in triple-id order, appends the
+/// triple's full neighbor row to `neighbors` in strictly ascending order
+/// and pushes the row's end (`neighbors.size()`) onto `offsets`.  Called
+/// over [0, m) on `offsets = {0}` and an empty `neighbors` it writes the
+/// CSR of G_k exactly as Graph stores it; nothing is sorted but each
+/// block's partner list.  It is also the per-block neighbor oracle of
+/// G_k (call it over [e, e + 1)).
+void append_block_rows(const Hypergraph& h, std::size_t k,
+                       std::span<const std::size_t> pair_offset,
+                       EdgeId e_begin, EdgeId e_end,
+                       std::vector<std::size_t>& offsets,
+                       std::vector<VertexId>& neighbors);
 
 class ConflictGraph {
  public:
   /// Build G_k for conflict-free k-coloring of h.  The hypergraph is
-  /// copied so the conflict graph stays valid independently of h.
-  /// Candidate enumeration (append_block_neighbors per hyperedge) fans
-  /// out on `sched`; the resulting graph is bit-identical at every
-  /// thread count (tests/test_parallel_determinism.cpp).
+  /// copied so the conflict graph stays valid independently of h.  One
+  /// sequential pass of append_block_rows over e = 0..m-1 into arrays
+  /// reserved from the closed-form census; the scheduler argument is
+  /// accepted and unused.
   explicit ConflictGraph(Hypergraph h, std::size_t k,
                          runtime::Scheduler& sched =
                              runtime::global_scheduler());
@@ -107,6 +110,11 @@ class ConflictGraph {
   /// from the hypergraph in O(sum_e sum_{v in e} deg v), not per edge;
   /// the tests check it against a per-edge edge_class_mask tally.
   [[nodiscard]] ClassCounts count_edge_classes() const;
+
+  /// The same closed-form census for any hypergraph, before (or without)
+  /// building G_k; count_edge_classes() is this plus a check against the
+  /// built graph's edge count.
+  [[nodiscard]] static ClassCounts census(const Hypergraph& h, std::size_t k);
 
   /// alpha(G_k) <= m: the E_edge cliques {(e,?,?)} partition V(G_k) into
   /// m cliques (proof of Lemma 2.1 a).  With Lemma 2.1 a), equality holds

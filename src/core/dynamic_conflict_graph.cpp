@@ -236,71 +236,66 @@ DynamicConflictGraph::Delta DynamicConflictGraph::apply(const Mutation& mut) {
   }
   adj_ = std::move(new_adj);
 
-  // Fresh blocks and their ball-local candidate enumeration.
-  std::vector<std::uint64_t> candidates;
+  // Fresh blocks: the one row generator yields every fresh triple's
+  // final row (survivor and fresh neighbors alike), row r for triple
+  // delta.added[r].  Fresh triples still hold a null Row here, survivors
+  // a non-null one.
+  std::vector<std::size_t> offsets{0};
+  std::vector<VertexId> rows;
   for (EdgeId ne = 0; ne < h_.edge_count(); ++ne) {
     if (!fresh[ne]) continue;
     for (std::size_t t = pair_offset_[ne] * k_; t < pair_offset_[ne + 1] * k_;
          ++t)
       delta.added.push_back(t);
-    append_block_neighbors(h_, k_, pair_offset_, ne, 0, candidates);
+    append_block_rows(h_, k_, pair_offset_, ne, ne + 1, offsets, rows);
   }
-  std::sort(candidates.begin(), candidates.end());
-  candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                   candidates.end());
-  delta.gk_edges_added = candidates.size();
+  const auto row_of = [&](std::size_t r) {
+    return std::span<const VertexId>(rows.data() + offsets[r],
+                                     rows.data() + offsets[r + 1]);
+  };
 
-  // Scatter the new edges into the adjacency lists.  Every new pair has
-  // a fresh endpoint and fresh ids are disjoint from survivor ids, so no
-  // candidate can already be present — a sorted merge per source is
-  // exact.
-  std::vector<std::pair<TripleId, TripleId>> directed;
-  directed.reserve(candidates.size() * 2);
-  for (const std::uint64_t packed : candidates) {
-    const auto a = static_cast<TripleId>(packed >> 32);
-    const auto b = static_cast<TripleId>(packed & 0xffffffffULL);
-    directed.emplace_back(a, b);
-    directed.emplace_back(b, a);
+  // A survivor gains the reverse entry of each fresh neighbor.  Fresh
+  // rows are visited in ascending triple order, so a counting scatter
+  // leaves every survivor's gains ascending.
+  std::vector<std::size_t> gain_end(new_triples + 1, 0);
+  for (const VertexId x : rows)
+    if (adj_[x] != nullptr) ++gain_end[x + 1];
+  std::partial_sum(gain_end.begin(), gain_end.end(), gain_end.begin());
+  const std::size_t gains = gain_end.back();
+  std::vector<TripleId> gained(gains);
+  std::vector<std::size_t> cursor(gain_end.begin(), gain_end.end() - 1);
+  for (std::size_t r = 0; r < delta.added.size(); ++r)
+    for (const VertexId x : row_of(r))
+      if (adj_[x] != nullptr) gained[cursor[x]++] = delta.added[r];
+  for (std::size_t r = 0; r < delta.added.size(); ++r) {
+    const auto row = row_of(r);
+    if (!row.empty()) delta.dirty.push_back(delta.added[r]);
+    adj_[delta.added[r]] =
+        row.empty() ? empty_row()
+                    : std::make_shared<const std::vector<TripleId>>(
+                          row.begin(), row.end());
   }
-  std::sort(directed.begin(), directed.end());
-  for (std::size_t i = 0; i < directed.size();) {
-    const TripleId src = directed[i].first;
-    std::size_t j = i;
-    while (j < directed.size() && directed[j].first == src) ++j;
-    // Fresh triples still hold a null Row here; treat it as empty.
-    static const std::vector<TripleId> kNone;
-    const std::vector<TripleId>& list =
-        adj_[src] != nullptr ? *adj_[src] : kNone;
-    std::vector<TripleId> merged;
-    merged.reserve(list.size() + (j - i));
-    std::size_t a = 0, b = i;
-    while (a < list.size() && b < j) {
-      if (list[a] < directed[b].second)
-        merged.push_back(list[a++]);
-      else
-        merged.push_back(directed[b++].second);
-    }
-    while (a < list.size()) merged.push_back(list[a++]);
-    while (b < j) merged.push_back(directed[b++].second);
-    adj_[src] =
-        std::make_shared<const std::vector<TripleId>>(std::move(merged));
-    i = j;
-  }
-  for (Row& row : adj_) {
-    if (row == nullptr) row = empty_row();  // fresh triple, no neighbors
+  delta.gk_edges_added = (rows.size() + gains) / 2;
+
+  // Merge the gains into the survivor rows.  Every new edge has a fresh
+  // endpoint and fresh ids are disjoint from survivor ids, so no gain is
+  // already present — a sorted merge per survivor is exact.
+  for (TripleId x = 0; x < new_triples; ++x) {
+    const std::size_t lo = gain_end[x];
+    const std::size_t hi = gain_end[x + 1];
+    if (lo == hi) continue;
+    const std::vector<TripleId>& list = *adj_[x];
+    std::vector<TripleId> merged(list.size() + (hi - lo));
+    std::merge(list.begin(), list.end(), gained.begin() + lo,
+               gained.begin() + hi, merged.begin());
+    adj_[x] = std::make_shared<const std::vector<TripleId>>(std::move(merged));
+    delta.dirty.push_back(x);
   }
   gk_edges_ = gk_edges_ - delta.gk_edges_removed + delta.gk_edges_added;
 
-  // Dirty region: fresh triples plus survivors whose lists changed.
-  delta.dirty.reserve(dirty_old.size() + delta.added.size());
+  // Dirty region: fresh triples with neighbors plus survivors whose
+  // lists changed.
   for (const TripleId t : dirty_old) delta.dirty.push_back(delta.remap[t]);
-  for (const TripleId src :
-       [&directed] {
-         std::vector<TripleId> srcs;
-         for (const auto& [a, b] : directed) srcs.push_back(a);
-         return srcs;
-       }())
-    delta.dirty.push_back(src);
   std::sort(delta.dirty.begin(), delta.dirty.end());
   delta.dirty.erase(std::unique(delta.dirty.begin(), delta.dirty.end()),
                     delta.dirty.end());
@@ -317,14 +312,17 @@ std::uint64_t DynamicConflictGraph::content_hash() const {
 }
 
 Graph DynamicConflictGraph::snapshot(runtime::Scheduler& /*sched*/) const {
-  std::vector<std::uint64_t> packed;
-  packed.reserve(gk_edges_);
-  for (TripleId t = 0; t < adj_.size(); ++t)
-    for (const TripleId nb : *adj_[t])
-      if (t < nb)
-        packed.push_back(pack_edge(static_cast<VertexId>(t),
-                                   static_cast<VertexId>(nb)));
-  return Graph::from_packed_edges(adj_.size(), std::move(packed));
+  std::vector<std::size_t> offsets;
+  offsets.reserve(adj_.size() + 1);
+  offsets.push_back(0);
+  std::vector<VertexId> neighbors;
+  neighbors.reserve(2 * gk_edges_);
+  for (const Row& row : adj_) {
+    for (const TripleId nb : *row)
+      neighbors.push_back(static_cast<VertexId>(nb));
+    offsets.push_back(neighbors.size());
+  }
+  return Graph::from_sorted_rows(std::move(offsets), std::move(neighbors));
 }
 
 std::uint64_t DynamicConflictGraph::graph_hash() const {

@@ -12,17 +12,19 @@
 // So every G_k edge created or destroyed by mutating hyperedge e is
 // incident to a triple of e.  A mutation therefore removes the triple
 // blocks of the touched hyperedges, renumbers the survivors (their
-// adjacency is *remapped*, never re-derived), and runs the one G_k
-// generator, append_block_neighbors (core/conflict_graph.hpp), for each
-// fresh block against every block — ConflictGraph runs the same
-// generator over all blocks.  remove_vertex is handled as "remove the
-// old edge block, re-attach the shrunk edge at the same position", which
-// keeps one endpoint of every affected pair inside a touched block.
+// adjacency is *remapped*, never re-derived), and takes each fresh
+// triple's final row from the one G_k row generator, append_block_rows
+// (core/conflict_graph.hpp) — ConflictGraph runs the same generator over
+// all blocks.  Survivors gain the reverse entries of those rows by a
+// counting scatter and a sorted merge; nothing is sorted.  remove_vertex
+// is handled as "remove the old edge block, re-attach the shrunk edge at
+// the same position", which keeps one endpoint of every affected pair
+// inside a touched block.
 //
 // The renumbering pass is O(|G_k|) (a linear remap of the survivor
-// adjacency); what the delta path saves is the candidate enumeration and
-// sort over the whole graph — and, one level up, MIS *repair*
-// (mis/repair.hpp) instead of a full re-solve.
+// adjacency); what the delta path saves is generating the rows of the
+// whole graph — and, one level up, MIS *repair* (mis/repair.hpp)
+// instead of a full re-solve.
 //
 // Canonical layout is identical to ConflictGraph: incidence pairs (e, v)
 // laid out edge-by-edge in sorted-vertex order, triple_id =
@@ -50,7 +52,8 @@ class DynamicConflictGraph {
 
   DynamicConflictGraph() = default;
 
-  /// Seed from a hypergraph (builds G_k once via ConflictGraph).
+  /// Seed from a hypergraph (builds G_k once via ConflictGraph).  The
+  /// scheduler argument is accepted and unused (the build is sequential).
   explicit DynamicConflictGraph(const Hypergraph& h, std::size_t k,
                                 runtime::Scheduler& sched =
                                     runtime::global_scheduler());
@@ -109,9 +112,9 @@ class DynamicConflictGraph {
   [[nodiscard]] std::uint64_t content_hash() const;
 
   /// Materialize the current G_k; must equal
-  /// ConflictGraph(hypergraph(), k).graph() bit for bit.  The build is
-  /// sequential (Graph::from_packed_edges); the scheduler argument is
-  /// accepted and unused.
+  /// ConflictGraph(hypergraph(), k).graph() bit for bit.  Concatenates
+  /// the already-sorted rows (Graph::from_sorted_rows); the scheduler
+  /// argument is accepted and unused.
   [[nodiscard]] Graph snapshot(runtime::Scheduler& sched =
                                    runtime::global_scheduler()) const;
 

@@ -96,6 +96,32 @@ Graph Graph::from_packed_edges(std::size_t n,
   return g;
 }
 
+Graph Graph::from_sorted_rows(std::vector<std::size_t>&& offsets,
+                              std::vector<VertexId>&& neighbors) {
+  PSL_EXPECTS_MSG(!offsets.empty() && offsets.front() == 0 &&
+                      offsets.back() == neighbors.size(),
+                  "CSR offsets inconsistent with " << neighbors.size()
+                                                   << " neighbor entries");
+  const std::size_t n = offsets.size() - 1;
+  for (std::size_t v = 0; v < n; ++v) {
+    const std::size_t lo = offsets[v];
+    const std::size_t hi = offsets[v + 1];
+    PSL_EXPECTS_MSG(lo <= hi, "CSR offsets decrease at row " << v);
+    if (lo == hi) continue;
+    // Strictly ascending, so only the last entry needs the range check.
+    bool ok = neighbors[hi - 1] < n && neighbors[lo] != v;
+    for (std::size_t i = lo + 1; i < hi; ++i)
+      ok &= (neighbors[i - 1] < neighbors[i]) & (neighbors[i] != v);
+    PSL_EXPECTS_MSG(ok, "row " << v
+                               << " has an entry out of range, a self-loop"
+                                  " or is not strictly ascending");
+  }
+  Graph g;
+  g.offsets_ = std::move(offsets);
+  g.neighbors_ = std::move(neighbors);
+  return g;
+}
+
 Graph Graph::from_edges(std::size_t n,
                         const std::vector<std::pair<VertexId, VertexId>>& edges,
                         bool dedup) {

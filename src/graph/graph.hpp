@@ -18,9 +18,10 @@ using VertexId = std::uint32_t;
 
 class GraphBuilder;
 
-/// Canonical one-word edge encoding of every graph-build path:
+/// Canonical one-word edge encoding of GraphBuilder's edge-list path:
 /// (min(u,v) << 32) | max(u,v).  Packed edges sort exactly like (u, v)
 /// pairs, so sorted packed edges fill CSR rows in ascending order.
+/// G_k is not built this way: it emits sorted rows (from_sorted_rows).
 inline std::uint64_t pack_edge(VertexId u, VertexId v) {
   if (u > v) std::swap(u, v);
   return (static_cast<std::uint64_t>(u) << 32) | v;
@@ -45,6 +46,15 @@ class Graph {
   /// Consumes `packed`.
   static Graph from_packed_edges(std::size_t n,
                                  std::vector<std::uint64_t>&& packed);
+
+  /// Adopt CSR arrays that are already a graph: row v is
+  /// neighbors[offsets[v], offsets[v + 1]).  One linear read checks that
+  /// offsets starts at 0, never decreases and ends at neighbors.size(),
+  /// and that every row is strictly ascending, in range and loop-free.
+  /// Symmetry is the caller's contract and is not re-checked.  Consumes
+  /// both arrays.
+  static Graph from_sorted_rows(std::vector<std::size_t>&& offsets,
+                                std::vector<VertexId>&& neighbors);
 
   [[nodiscard]] std::size_t vertex_count() const { return offsets_.empty() ? 0 : offsets_.size() - 1; }
   [[nodiscard]] std::size_t edge_count() const { return neighbors_.size() / 2; }

@@ -28,10 +28,10 @@ namespace pslocal {
 std::vector<VertexId> greedy_mis_in_order(const Graph& g,
                                           const std::vector<VertexId>& order);
 
-/// Min-degree greedy (see header comment).  The per-iteration argmin
-/// scan — the quadratic hot path on conflict graphs — fans out on
-/// `sched` with a (degree, id) tie-break that reproduces the sequential
-/// scan's pick exactly, so the output is identical at every thread count.
+/// Min-degree greedy (see header comment).  Each pick is a sequential
+/// first-strictly-smaller scan (lowest id among minimum degree), so the
+/// output does not depend on the thread count; the scheduler argument is
+/// accepted and unused.
 std::vector<VertexId> greedy_min_degree_maxis(
     const Graph& g,
     runtime::Scheduler& sched = runtime::global_scheduler());

@@ -146,8 +146,10 @@ const char* Client::outcome_name(Outcome o) {
 std::uint64_t Client::send(const service::Request& request) {
   PSL_CHECK_MSG(fd_ >= 0, "net: send on a disconnected client");
   const std::uint64_t id = next_id_++;
-  wire::Frame frame{wire::FrameKind::kRequest, id,
-                    wire::encode_request(request)};
+  wire::Frame frame;
+  frame.kind = wire::FrameKind::kRequest;
+  frame.request_id = id;
+  frame.payload = wire::encode_request(request);
   // Trace context rides the frame header: an explicit per-request id
   // wins, else the ambient obs context (the enclosing ScopedSpan /
   // ScopedTraceContext); both are zero when untraced.
@@ -167,7 +169,9 @@ std::uint64_t Client::send(const service::Request& request) {
 Client::Result Client::stats(int timeout_ms) {
   PSL_CHECK_MSG(fd_ >= 0, "net: stats on a disconnected client");
   const std::uint64_t id = next_id_++;
-  wire::Frame frame{wire::FrameKind::kStatsRequest, id, std::string{}};
+  wire::Frame frame;
+  frame.kind = wire::FrameKind::kStatsRequest;
+  frame.request_id = id;
   const obs::TraceContext ctx = obs::current_trace_context();
   frame.trace_id = ctx.trace_id;
   frame.parent_span_id = ctx.span_id;

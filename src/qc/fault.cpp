@@ -74,6 +74,9 @@ FaultReport run_fault_plan(const FaultPlan& plan,
       case service::Admission::kShutdown:
         report.error = "shutdown admission from a running engine";
         return report;
+      case service::Admission::kShed:
+        report.error = "shed admission in the queue-full probe";
+        return report;
     }
   }
   const std::size_t expected_rejects =

@@ -10,7 +10,6 @@
 #include <cstddef>
 #include <memory>
 #include <utility>
-#include <vector>
 
 #include "runtime/scheduler.hpp"
 #include "util/rng.hpp"
@@ -66,27 +65,6 @@ T parallel_reduce(Scheduler& sched, BlockedRange range, T identity, Map&& map,
   for (std::size_t i = 0; i < chunks; ++i)
     acc = combine(std::move(acc), std::move(partials[i]));
   return acc;
-}
-
-/// Deterministic collection: emit(begin, end, sink) appends any number of
-/// items per chunk to its private sink; the per-chunk sinks are
-/// concatenated in ascending chunk order.  Equivalent to the sequential
-/// loop appending to one vector.
-template <typename T, typename Emit>
-std::vector<T> parallel_collect(Scheduler& sched, BlockedRange range,
-                                Emit&& emit) {
-  const std::size_t grain = range.resolved_grain();
-  const std::size_t chunks = chunk_count(range.n, grain);
-  std::vector<std::vector<T>> sinks(chunks);
-  sched.run_chunks(range.n, grain, [&](ChunkRange c) {
-    emit(c.begin, c.end, sinks[c.index]);
-  });
-  std::size_t total = 0;
-  for (const auto& s : sinks) total += s.size();
-  std::vector<T> out;
-  out.reserve(total);
-  for (auto& s : sinks) out.insert(out.end(), s.begin(), s.end());
-  return out;
 }
 
 /// The RNG stream of one chunk: forked from the master seed by chunk

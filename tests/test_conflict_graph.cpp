@@ -28,7 +28,7 @@ std::set<std::pair<TripleId, TripleId>> brute_force_edges(
         return h.edge_contains(e, ta.v) && h.edge_contains(e, tb.v);
       };
       // u != v is required for E_color (see the note on
-      // append_block_neighbors — with u = v Lemma 2.1 a) would fail).
+      // append_block_rows — with u = v Lemma 2.1 a) would fail).
       const bool e_color =
           ta.c == tb.c && ta.v != tb.v && (both_in(ta.e) || both_in(tb.e));
       if (e_vertex || e_edge || e_color) edges.emplace(a, b);
@@ -200,6 +200,11 @@ TEST_P(ConflictGraphBruteForceTest, MatchesDefinitionExactly) {
   for (auto [a, b] : cg.graph().edges())
     actual.emplace(static_cast<TripleId>(a), static_cast<TripleId>(b));
   EXPECT_EQ(actual, expected);
+  // Full CSR equality, both directions of every edge included.
+  GraphBuilder reference(cg.triple_count());
+  for (const auto& [a, b] : expected)
+    reference.add_edge(static_cast<VertexId>(a), static_cast<VertexId>(b));
+  EXPECT_EQ(cg.graph(), reference.build());
   expect_census_matches_tally(cg);
 }
 
@@ -285,6 +290,11 @@ TEST(ConflictGraphTest, InterValHypergraphAlsoWorks) {
   for (auto [a, b] : cg.graph().edges())
     actual.emplace(static_cast<TripleId>(a), static_cast<TripleId>(b));
   EXPECT_EQ(actual, expected);
+  // Full CSR equality, both directions of every edge included.
+  GraphBuilder reference(cg.triple_count());
+  for (const auto& [a, b] : expected)
+    reference.add_edge(static_cast<VertexId>(a), static_cast<VertexId>(b));
+  EXPECT_EQ(cg.graph(), reference.build());
   expect_census_matches_tally(cg);
 }
 

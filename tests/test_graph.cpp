@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "graph/io.hpp"
 #include "util/rng.hpp"
@@ -145,6 +147,26 @@ TEST(GraphTest, FromPackedEdgesRejectsInvalidBeforeSorting) {
   EXPECT_THROW(Graph::from_packed_edges(4, {raw(2, 2), raw(0, 1)}),
                ContractViolation);
   EXPECT_THROW(Graph::from_packed_edges(4, {raw(3, 1)}), ContractViolation);
+}
+
+TEST(GraphTest, FromSortedRowsRejectsMalformedRows) {
+  const auto rows = [](std::vector<std::size_t> offsets,
+                       std::vector<VertexId> neighbors) {
+    return Graph::from_sorted_rows(std::move(offsets), std::move(neighbors));
+  };
+  // Unsorted row, duplicate entry, self-loop, out-of-range id.
+  EXPECT_THROW(rows({0, 2, 3, 4}, {2, 1, 0, 0}), ContractViolation);
+  EXPECT_THROW(rows({0, 2, 3, 4}, {1, 1, 0, 1}), ContractViolation);
+  EXPECT_THROW(rows({0, 2, 3, 4}, {0, 1, 0, 1}), ContractViolation);
+  EXPECT_THROW(rows({0, 1, 2}, {1, 2}), ContractViolation);
+  // Offsets that disagree with the neighbor array: wrong end, wrong
+  // start, decreasing, missing altogether.
+  EXPECT_THROW(rows({0, 1, 1}, {1, 0}), ContractViolation);
+  EXPECT_THROW(rows({1, 1, 2}, {1, 0}), ContractViolation);
+  EXPECT_THROW(rows({0, 2, 1, 2}, {1, 2}), ContractViolation);
+  EXPECT_THROW(rows({}, {}), ContractViolation);
+  // The empty graph is well formed.
+  EXPECT_EQ(rows({0}, {}), Graph());
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "util/hash.hpp"
@@ -112,13 +113,22 @@ void send_all(int fd, const std::string& bytes) {
   }
 }
 
+std::string frame_bytes(wire::FrameKind kind, std::uint64_t id,
+                        std::string payload) {
+  wire::Frame frame;
+  frame.kind = kind;
+  frame.request_id = id;
+  frame.payload = std::move(payload);
+  return wire::encode_frame(frame);
+}
+
 std::string ok_response_frame(std::uint64_t id, const std::string& result) {
   service::Response resp;
   resp.status = service::Response::Status::kOk;
   resp.key = 77;
   resp.result = result;
-  return wire::encode_frame(
-      {wire::FrameKind::kResponse, id, wire::encode_response(resp)});
+  return frame_bytes(wire::FrameKind::kResponse, id,
+                     wire::encode_response(resp));
 }
 
 Client connect_client(std::uint16_t port) {
@@ -206,9 +216,8 @@ TEST(NetClientTest, BackoffScheduleIsPureAcrossClientInstances) {
     for (int i = 0; i < 2; ++i) {
       const auto frames = read_frames(fd, 1);
       ASSERT_EQ(frames.size(), 1u);
-      send_all(fd, wire::encode_frame(
-                       {wire::FrameKind::kNack, frames[0].request_id,
-                        wire::encode_nack(wire::NackCode::kQueueFull)}));
+      send_all(fd, frame_bytes(wire::FrameKind::kNack, frames[0].request_id,
+                               wire::encode_nack(wire::NackCode::kQueueFull)));
     }
     const auto frames = read_frames(fd, 1);
     ASSERT_EQ(frames.size(), 1u);
@@ -236,9 +245,8 @@ TEST(NetClientTest, CallWithRetryResendsAfterQueueFullNacks) {
     for (int i = 0; i < 2; ++i) {
       const auto frames = read_frames(fd, 1);
       ASSERT_EQ(frames.size(), 1u);
-      send_all(fd, wire::encode_frame(
-                       {wire::FrameKind::kNack, frames[0].request_id,
-                        wire::encode_nack(wire::NackCode::kQueueFull)}));
+      send_all(fd, frame_bytes(wire::FrameKind::kNack, frames[0].request_id,
+                               wire::encode_nack(wire::NackCode::kQueueFull)));
     }
     const auto frames = read_frames(fd, 1);
     ASSERT_EQ(frames.size(), 1u);
@@ -260,9 +268,8 @@ TEST(NetClientTest, ShutdownNackIsNotRetried) {
   FakeServer server([](int fd) {
     const auto frames = read_frames(fd, 1);
     ASSERT_EQ(frames.size(), 1u);
-    send_all(fd, wire::encode_frame(
-                     {wire::FrameKind::kNack, frames[0].request_id,
-                      wire::encode_nack(wire::NackCode::kShutdown)}));
+    send_all(fd, frame_bytes(wire::FrameKind::kNack, frames[0].request_id,
+                             wire::encode_nack(wire::NackCode::kShutdown)));
   });
 
   Client client = connect_client(server.port());

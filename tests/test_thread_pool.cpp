@@ -196,19 +196,6 @@ TEST(ParallelPrimitives, ReduceMatchesSequentialFloatBitForBit) {
   EXPECT_EQ(run(pool), run(seq));
 }
 
-TEST(ParallelPrimitives, CollectMatchesSequentialAppendOrder) {
-  ThreadPool pool(4);
-  const std::size_t n = 50'000;
-  const auto out = parallel_collect<std::size_t>(
-      pool, {n, 128}, [](std::size_t lo, std::size_t hi, auto& sink) {
-        for (std::size_t i = lo; i < hi; ++i)
-          if (i % 3 == 0) sink.push_back(i);
-      });
-  std::vector<std::size_t> expected;
-  for (std::size_t i = 0; i < n; i += 3) expected.push_back(i);
-  EXPECT_EQ(out, expected);
-}
-
 TEST(ParallelPrimitives, RngForChunkIsThreadCountInvariantByConstruction) {
   // Chunk RNGs key on the chunk index, so any scheduler sees the same
   // streams; spot-check reproducibility and pairwise divergence.
